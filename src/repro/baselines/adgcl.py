@@ -31,6 +31,8 @@ class ADGCL(BasePretrainer):
         self.augmenter_lr = augmenter_lr
         self.reg_lambda = reg_lambda
         super().__init__(in_dim, **kwargs)
+        if self.encoder.conv_name != "gin":
+            raise ValueError("ADGCL's weighted message passing requires GIN")
         augmenter_params = (self.edge_scorer.parameters()
                             + self.scorer_encoder.parameters())
         self._augmenter_optimizer = Adam(augmenter_params,
@@ -99,8 +101,3 @@ class ADGCL(BasePretrainer):
         z_anchor = self._anchor_embeddings(batch)
         z_view = self._view_embeddings(batch, keep)
         return semantic_info_nce(z_anchor, z_view, self.tau)
-
-    def pretrain(self, graphs, epochs: int = 20):
-        if self.encoder.conv_name != "gin":
-            raise ValueError("ADGCL's weighted message passing requires GIN")
-        return super().pretrain(graphs, epochs)

@@ -3,32 +3,38 @@
 Every GCL / generative baseline in the paper's tables is implemented as a
 subclass of :class:`BasePretrainer`: it owns a :class:`GNNEncoder` (the same
 architecture SGCL uses, per §VI.A.2's encoder-matched comparison), an Adam
-optimiser, and a seeded pre-training loop; subclasses implement one
+optimiser, and the seeded epoch loop every pre-training method shares
+(:class:`repro.core.trainer.PretrainLoop`); subclasses implement one
 mini-batch ``step``.
 """
 
 from __future__ import annotations
 
-import time
-import warnings
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ..core.trainer import PretrainLoop
 from ..data import DataLoader
 from ..gnn import GNNEncoder
 from ..graph import Graph
 from ..nn import Adam, Module
-from ..obs import current
 from ..tensor import Tensor
-from ..validate.numerics import NumericsGuard, global_grad_norm
 
 __all__ = ["BasePretrainer"]
 
 
-class BasePretrainer(Module):
-    """Base class: encoder + optimiser + epoch loop.
+class BasePretrainer(Module, PretrainLoop):
+    """Base class: encoder + optimiser + the shared epoch loop.
+
+    ``pretrain(graphs, epochs=20, *, checkpoint_dir=None, save_every=None,
+    observer=None)`` is :meth:`repro.core.trainer.PretrainLoop.pretrain`
+    over shuffled minibatches of ``batch_size`` graphs: history rows,
+    spans, ``epoch`` events (tagged with the class name), ``request_stop``
+    and ``latest``/``best``/``epoch-NNNN`` checkpoints behave exactly as
+    for :class:`~repro.core.SGCLTrainer`. Each row's ``loss`` is the
+    epoch's mean of :meth:`step`.
 
     Parameters
     ----------
@@ -46,6 +52,7 @@ class BasePretrainer(Module):
 
     #: subclasses that need ≥2 graphs per batch (contrastive losses)
     needs_pairs = True
+    default_epochs = 20
 
     def __init__(self, in_dim: int, *, hidden_dim: int = 32,
                  num_layers: int = 3, conv: str = "gin", pooling: str = "sum",
@@ -67,8 +74,7 @@ class BasePretrainer(Module):
                                   pooling=pooling)
         self._build(self._init_rng)
         self.optimizer = Adam(self.parameters(), lr=lr)
-        self.history: list[float] = []
-        self._best_loss = float("inf")
+        self.history: list[dict[str, float]] = []
 
     # ------------------------------------------------------------------
     def _build(self, rng: np.random.Generator) -> None:
@@ -80,84 +86,29 @@ class BasePretrainer(Module):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def pretrain(self, graphs: Sequence[Graph], epochs: int = 20, *,
-                 checkpoint_dir: str | Path | None = None,
-                 save_every: int | None = None,
-                 observer=None) -> list[float]:
-        """Run the pre-training loop; returns per-epoch mean losses.
+    @property
+    def method_name(self) -> str:
+        return type(self).__name__
 
-        ``checkpoint_dir``/``save_every`` mirror
-        :meth:`repro.core.SGCLTrainer.pretrain`: best-loss epochs go to
-        ``<dir>/best.npz``, every ``save_every``-th to
-        ``<dir>/epoch-NNNN.npz``. ``observer`` (default: the ambient
-        :func:`repro.obs.current`) receives one ``epoch`` event per epoch
-        and ``pretrain/epoch``/``pretrain/batch`` spans (with
-        ``pretrain/loss``/``pretrain/backward``/``pretrain/step``
-        children, matching the SGCL trainer's phase layout).
-        """
-        obs = observer if observer is not None else current()
-        guard = NumericsGuard(policy=self.numerics_policy,
-                              grad_clip=self.grad_clip, observer=obs)
-        parameters = self.parameters()
+    def _start_training(self) -> tuple[str, float | None]:
         self.train()
-        for _ in range(epochs):
-            losses = []
-            skipped_batches = 0
-            started = time.perf_counter()
-            loader = DataLoader(graphs, self.batch_size, shuffle=True,
-                                rng=self._shuffle_rng)
-            with obs.span("pretrain/epoch"):
-                for batch in loader:
-                    if self.needs_pairs and batch.num_graphs < 2:
-                        continue
-                    with obs.span("pretrain/batch"):
-                        with obs.span("pretrain/loss"):
-                            loss = self.step(batch)
-                        if not guard.check_loss({"loss": loss.item()}):
-                            skipped_batches += 1
-                            continue
-                        self.optimizer.zero_grad()
-                        with obs.span("pretrain/backward"):
-                            loss.backward()
-                        if not guard.guard_gradients(
-                                parameters, global_grad_norm(parameters)):
-                            skipped_batches += 1
-                            continue
-                        with obs.span("pretrain/step"):
-                            self.optimizer.step()
-                    losses.append(loss.item())
-            if not losses:
-                # NaN (not 0.0) keeps an all-skipped epoch from being
-                # mistaken for a perfect one by best-loss checkpointing.
-                warnings.warn(
-                    f"epoch {len(self.history) + 1}: no batch was trained "
-                    f"({skipped_batches} skipped)", RuntimeWarning,
-                    stacklevel=2)
-            self.history.append(
-                float(np.mean(losses)) if losses else float("nan"))
-            obs.event("epoch", method=type(self).__name__,
-                      epoch=len(self.history), loss=self.history[-1],
-                      num_batches=len(losses),
-                      skipped_batches=skipped_batches,
-                      epoch_seconds=time.perf_counter() - started)
-            if checkpoint_dir is not None:
-                self._checkpoint_epoch(Path(checkpoint_dir), save_every)
-        return self.history
+        return self.numerics_policy, self.grad_clip
 
-    def _checkpoint_epoch(self, directory: Path,
-                          save_every: int | None) -> None:
-        epoch = len(self.history)
-        if save_every and epoch % save_every == 0:
-            self.save_checkpoint(directory / f"epoch-{epoch:04d}.npz")
-        if np.isfinite(self.history[-1]) and self.history[-1] < self._best_loss:
-            self._best_loss = self.history[-1]
-            self.save_checkpoint(directory / "best.npz")
+    def _epoch_batches(self, graphs: Sequence[Graph]):
+        loader = DataLoader(graphs, self.batch_size, shuffle=True,
+                            rng=self._shuffle_rng)
+        return (batch for batch in loader
+                if batch.num_graphs >= 2 or not self.needs_pairs)
+
+    def _batch_loss(self, batch):
+        loss = self.step(batch)
+        return loss, {"loss": loss.item()}
 
     def save_checkpoint(self, path: str | Path,
                         metadata: dict | None = None) -> Path:
         """Write the full pretrainer state (encoder + heads + optimizer)."""
         from ..serve.checkpoint import save_checkpoint
 
-        meta = {"method": type(self).__name__, "history": self.history}
+        meta = {"method": self.method_name, "history": self.history}
         return save_checkpoint(path, self, optimizer=self.optimizer,
                                metadata={**meta, **(metadata or {})})

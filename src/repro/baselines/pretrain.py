@@ -124,8 +124,9 @@ class NoPretrain(BasePretrainer):
 
     needs_pairs = False
 
-    def pretrain(self, graphs, epochs: int = 0) -> list[float]:
-        return []
+    def pretrain(self, graphs, epochs: int | None = None, **kwargs):
+        """The shared loop, run for 0 epochs whatever ``epochs`` says."""
+        return super().pretrain(graphs, 0, **kwargs)
 
     def step(self, batch: Batch) -> Tensor:  # pragma: no cover
         raise RuntimeError("NoPretrain has no training step")

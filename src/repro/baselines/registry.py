@@ -1,8 +1,10 @@
 """Name → method factory registry used by the benchmark harness.
 
 Neural methods share the interface ``method = make_method(name, in_dim,
-**overrides)`` → an object with ``.pretrain(graphs, epochs)`` and
-``.encoder``; kernel methods are exposed through
+**overrides)`` → a :class:`~repro.core.trainer.PretrainLoop` with
+``.pretrain(graphs, epochs)`` and ``.encoder`` (the SGCL rows are
+:class:`~repro.core.SGCLTrainer` instances, their options
+:class:`~repro.core.SGCLConfig` fields); kernel methods are exposed through
 :func:`kernel_feature_map`.
 """
 
@@ -25,38 +27,10 @@ __all__ = ["make_method", "kernel_feature_map", "NEURAL_METHODS",
            "KERNEL_METHODS"]
 
 
-class _SGCLAdapter:
-    """Present :class:`SGCLTrainer` through the baseline interface."""
-
-    def __init__(self, in_dim: int, **overrides):
-        config_fields = set(SGCLConfig.__dataclass_fields__)
-        config_kwargs = {k: v for k, v in overrides.items()
-                         if k in config_fields}
-        unknown = set(overrides) - config_fields
-        if unknown:
-            raise TypeError(f"unknown SGCL options: {sorted(unknown)}")
-        self.trainer = SGCLTrainer(in_dim, SGCLConfig(**config_kwargs))
-
-    @property
-    def encoder(self):
-        return self.trainer.encoder
-
-    @property
-    def model(self):
-        return self.trainer.model
-
-    def pretrain(self, graphs, epochs: int = 20, **kwargs):
-        return self.trainer.pretrain(graphs, epochs=epochs, **kwargs)
-
-    def save_checkpoint(self, path, metadata: dict | None = None):
-        return self.trainer.save_checkpoint(path, metadata=metadata)
-
-
 def _sgcl_variant(**fixed):
     def factory(in_dim: int, **overrides):
-        merged = dict(fixed)
-        merged.update(overrides)
-        return _SGCLAdapter(in_dim, **merged)
+        # An unknown option is a TypeError from the dataclass constructor.
+        return SGCLTrainer(in_dim, SGCLConfig(**{**fixed, **overrides}))
 
     return factory
 

@@ -49,12 +49,12 @@ event log + run manifest under DIR) and ``--trace`` (print the span tree
 after the run).
 
 ``pretrain --checkpoint-dir DIR`` switches to the crash-safe single-run
-path: every epoch refreshes ``DIR/latest.npz``, SIGINT/SIGTERM stop the
-run at the next epoch boundary and write ``DIR/emergency.npz`` on the way
-out (exit code 130), and ``--resume`` continues bit-exactly from the most
-advanced *valid* checkpoint in DIR (corrupt files are skipped — see
-docs/RESILIENCE.md). Every command exits 130 on Ctrl-C instead of dumping
-a traceback.
+path, which ``pretrain --node-level`` always takes: every epoch refreshes
+``DIR/latest.npz``, SIGINT/SIGTERM stop the run at the next epoch
+boundary and write ``DIR/emergency.npz`` on the way out (exit code 130),
+and ``--resume`` continues bit-exactly from the most advanced *valid*
+checkpoint in DIR (corrupt files are skipped — see docs/RESILIENCE.md).
+Every command exits 130 on Ctrl-C instead of dumping a traceback.
 
 ``pretrain``, ``transfer`` and ``inspect`` accept ``--workers N`` (fan
 seed / precompute work out over N worker processes; default: the
@@ -169,42 +169,75 @@ def _cmd_datasets(args: argparse.Namespace) -> None:
               f"{stats['num_classes']:>9}{'node':>16}")
 
 
-def _pretrain_checkpointed(args: argparse.Namespace) -> None:
-    """Crash-safe single-run pre-training (``--checkpoint-dir``/``--resume``).
+def _pretrain_single(args: argparse.Namespace) -> None:
+    """One seeded SGCL run (``--checkpoint-dir``/``--resume``/``--node-level``).
 
-    Unlike the benchmark path this trains ONE seeded run with per-epoch
-    checkpoints: ``latest.npz`` is refreshed atomically every epoch, a
-    first SIGINT/SIGTERM stops the loop at the next epoch boundary and
-    writes ``emergency.npz`` (exit 130), and ``--resume`` picks up from
-    the most advanced valid checkpoint — bit-identical to a run that was
-    never interrupted.
+    Unlike the benchmark path this trains ONE seeded run: an
+    :class:`~repro.core.SGCLTrainer` on the dataset's graphs, or with
+    ``--node-level`` a :class:`~repro.sampling.NodeSGCLTrainer` on a
+    :class:`~repro.sampling.SubgraphStream` followed by the node-level
+    linear probe. With ``--checkpoint-dir``, ``latest.npz`` is refreshed
+    atomically every epoch and ``--resume`` picks up from the most
+    advanced valid checkpoint — bit-identical to a run that was never
+    interrupted. A first SIGINT/SIGTERM stops the loop at the next epoch
+    boundary, writes ``emergency.npz`` (when there is a checkpoint
+    directory) and exits 130.
     """
     from pathlib import Path
 
     from .core import SGCLConfig, SGCLTrainer
-    from .data import load_dataset
     from .resilience import interrupt_guard, resume_trainer
 
+    flag = "--node-level" if args.node_level else "--checkpoint-dir/--resume"
     if args.method != "SGCL":
-        raise SystemExit(
-            "pretrain: --checkpoint-dir/--resume support --method SGCL only "
-            f"(got {args.method!r})")
-    directory = Path(args.checkpoint_dir)
+        raise SystemExit(f"pretrain: {flag} supports --method SGCL only "
+                         f"(got {args.method!r})")
+    directory = Path(args.checkpoint_dir) if args.checkpoint_dir else None
     observer, log_path = _observer_from_args(args)
-    if log_path is not None:
-        _write_manifest(observer, log_path, args, command="pretrain")
-    dataset = load_dataset(args.dataset, seed=0, scale=args.scale)
+    if args.node_level:
+        from .runtime import ParallelExecutor
+        from .sampling import NodeSGCLTrainer, SubgraphStream, \
+            load_node_dataset, make_sampler
+
+        dataset = load_node_dataset(args.dataset, seed=0, scale=args.scale)
+        data = SubgraphStream(
+            make_sampler(args.sampler, dataset),
+            samples_per_epoch=args.samples_per_epoch,
+            batch_size=args.subgraph_batch, seed=0,
+            executor=ParallelExecutor(args.workers))
+        trainer_cls = NodeSGCLTrainer
+        config = SGCLConfig(epochs=args.epochs, seed=0)
+        if log_path is not None:
+            from .obs import RunManifest
+
+            RunManifest(
+                observer.run_id,
+                config={key: value for key, value in vars(args).items()
+                        if key not in ("fn", "command")},
+                dataset={"name": args.dataset, **dataset.statistics()},
+                seed=0, extra={"command": "pretrain --node-level"},
+            ).write(log_path.with_suffix(".manifest.json"))
+    else:
+        from .data import load_dataset
+
+        dataset = load_dataset(args.dataset, seed=0, scale=args.scale)
+        data = dataset.graphs
+        trainer_cls = SGCLTrainer
+        config = SGCLConfig(epochs=args.epochs, batch_size=32, seed=0)
+        if log_path is not None:
+            _write_manifest(observer, log_path, args, command="pretrain")
     with observer.activate():
         trainer = resume_trainer(directory) if args.resume else None
         if trainer is None:
-            trainer = SGCLTrainer(
-                dataset.num_features,
-                SGCLConfig(epochs=args.epochs, batch_size=32, seed=0))
-        elif trainer.in_dim != dataset.num_features:
+            trainer = trainer_cls(dataset.num_features, config)
+        elif (type(trainer) is not trainer_cls
+              or trainer.in_dim != dataset.num_features):
             raise SystemExit(
-                f"pretrain: checkpoints in {directory} were trained with "
-                f"in_dim={trainer.in_dim}; {args.dataset} has "
-                f"{dataset.num_features} node features")
+                f"pretrain: checkpoints in {directory} hold a "
+                f"{type(trainer).__name__} trained with "
+                f"in_dim={trainer.in_dim}; this run needs a "
+                f"{trainer_cls.__name__} for {args.dataset} "
+                f"({dataset.num_features} node features)")
         done = len(trainer.history)
         remaining = max(0, args.epochs - done)
         if args.resume and done:
@@ -212,86 +245,37 @@ def _pretrain_checkpointed(args: argparse.Namespace) -> None:
                   f"({remaining} of {args.epochs} epoch(s) remaining)")
         with interrupt_guard(on_interrupt=trainer.request_stop) as state:
             if remaining:
-                trainer.pretrain(dataset.graphs, epochs=remaining,
+                trainer.pretrain(data, epochs=remaining,
                                  checkpoint_dir=directory)
         if state.interrupted:
-            path = trainer.save_emergency_checkpoint(directory)
+            where = "no checkpoint directory"
+            if directory is not None:
+                path = trainer.save_emergency_checkpoint(directory)
+                where = (f"emergency checkpoint written to {path} — "
+                         f"resume with --resume")
             _finish_observer(observer, log_path, args)
             print(f"interrupted ({state.signal_name}) after "
-                  f"{len(trainer.history)} epoch(s); emergency checkpoint "
-                  f"written to {path} — resume with --resume")
+                  f"{len(trainer.history)} epoch(s); {where}")
             raise SystemExit(130)
-    _finish_observer(observer, log_path, args)
-    loss = trainer.history[-1]["loss"] if trainer.history else float("nan")
-    print(f"SGCL on {args.dataset}: {len(trainer.history)} epoch(s) "
-          f"(loss {loss:.4f}); checkpoints in {directory}")
+        if args.node_level:
+            from .eval import node_linear_probe
 
-
-def _pretrain_node_level(args: argparse.Namespace) -> None:
-    """Node-level SGCL over sampled subgraphs (``pretrain --node-level``).
-
-    Trains one seeded :class:`~repro.sampling.NodeSGCLTrainer` run on a
-    :class:`~repro.sampling.SubgraphStream` and reports the node-level
-    linear-probe accuracy. ``--checkpoint-dir`` refreshes ``latest.npz``
-    every epoch; ``--resume`` continues from it bit-exactly (the stream
-    re-derives epoch seeds from the history length, so no loader state
-    is persisted).
-    """
-    from pathlib import Path
-
-    from .core import SGCLConfig
-    from .eval import node_linear_probe
-    from .runtime import ParallelExecutor
-    from .sampling import NodeSGCLTrainer, SubgraphStream, load_node_dataset, \
-        make_sampler
-
-    if args.method != "SGCL":
-        raise SystemExit(
-            f"pretrain: --node-level supports --method SGCL only "
-            f"(got {args.method!r})")
-    observer, log_path = _observer_from_args(args)
-    dataset = load_node_dataset(args.dataset, seed=0, scale=args.scale)
-    if log_path is not None:
-        from .obs import RunManifest
-
-        RunManifest(
-            observer.run_id,
-            config={key: value for key, value in vars(args).items()
-                    if key not in ("fn", "command")},
-            dataset={"name": args.dataset, **dataset.statistics()},
-            seed=0, extra={"command": "pretrain --node-level"},
-        ).write(log_path.with_suffix(".manifest.json"))
-    sampler = make_sampler(args.sampler, dataset)
-    stream = SubgraphStream(
-        sampler, samples_per_epoch=args.samples_per_epoch,
-        batch_size=args.subgraph_batch, seed=0,
-        executor=ParallelExecutor(args.workers))
-    with observer.activate():
-        trainer = None
-        directory = Path(args.checkpoint_dir) if args.checkpoint_dir else None
-        if args.resume and directory and (directory / "latest.npz").exists():
-            trainer = NodeSGCLTrainer.from_checkpoint(directory / "latest.npz")
-            print(f"resuming at epoch {len(trainer.history) + 1}")
-        if trainer is None:
-            trainer = NodeSGCLTrainer(
-                dataset.num_features,
-                SGCLConfig(epochs=args.epochs, seed=0))
-        remaining = max(0, args.epochs - len(trainer.history))
-        if remaining:
-            trainer.pretrain(stream, epochs=remaining,
-                             checkpoint_dir=directory)
-        probe = node_linear_probe(
-            trainer.encoder, dataset, seed=0,
-            num_nodes=min(500, dataset.num_nodes))
+            probe = node_linear_probe(
+                trainer.encoder, dataset, seed=0,
+                num_nodes=min(500, dataset.num_nodes))
     _finish_observer(observer, log_path, args)
     loss = trainer.history[-1]["loss"] if trainer.history else float("nan")
     suffix = f"; checkpoints in {directory}" if directory else ""
-    print(f"SGCL node-level on {args.dataset} "
-          f"({dataset.num_nodes} nodes, sampler={args.sampler}): "
-          f"{len(trainer.history)} epoch(s), loss {loss:.4f}, "
-          f"probe accuracy {probe['accuracy']:.1%} "
-          f"({probe['num_train']}/{probe['num_test']} train/test)"
-          f"{suffix}")
+    if args.node_level:
+        print(f"SGCL node-level on {args.dataset} "
+              f"({dataset.num_nodes} nodes, sampler={args.sampler}): "
+              f"{len(trainer.history)} epoch(s), loss {loss:.4f}, "
+              f"probe accuracy {probe['accuracy']:.1%} "
+              f"({probe['num_train']}/{probe['num_test']} train/test)"
+              f"{suffix}")
+    else:
+        print(f"SGCL on {args.dataset}: {len(trainer.history)} epoch(s) "
+              f"(loss {loss:.4f}){suffix}")
 
 
 def _cmd_pretrain(args: argparse.Namespace) -> None:
@@ -299,11 +283,8 @@ def _cmd_pretrain(args: argparse.Namespace) -> None:
 
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("pretrain: --resume requires --checkpoint-dir")
-    if args.node_level:
-        _pretrain_node_level(args)
-        return
-    if args.checkpoint_dir:
-        _pretrain_checkpointed(args)
+    if args.node_level or args.checkpoint_dir:
+        _pretrain_single(args)
         return
     observer, log_path = _observer_from_args(args)
     if log_path is not None:

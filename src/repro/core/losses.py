@@ -80,17 +80,26 @@ def graph_likelihood_loss(reps: Tensor, edge_index: np.ndarray,
     return (logits.softplus() - logits * Tensor(targets)).mean()
 
 
-def semantic_info_nce(z_anchor: Tensor, z_view: Tensor, tau: float) -> Tensor:
-    """Semantic-aware loss ``L_s`` (Eq. 24), averaged over the batch.
+def semantic_info_nce(z_anchor: Tensor, z_view: Tensor, tau: float,
+                      weights: np.ndarray | None = None) -> Tensor:
+    """Semantic-aware loss ``L_s`` (Eq. 24), averaged over the rows.
 
     ``L_s(G_i) = −log [ exp(s_ii/τ) / Σ_{j≠i} exp(s_ij/τ) ]`` where ``s_ij``
     is the similarity between anchor ``G_i`` and view ``Ĝ_j``. The positive
     pair is excluded from the denominator, exactly as written in Eq. 24 (and
     as GraphCL's released code does).
+
+    Rows are graphs in the graph-level objective and matched nodes in the
+    node-level one (:mod:`repro.sampling.pretrain`), where row ``i`` of
+    both inputs is the same node in the anchor and augmented subgraph.
+    With ``weights`` (there the GraphSAINT ``α_v``), per-row terms are
+    scaled by ``weights / mean(weights)`` — mean-1 within the batch, so
+    only the relative sampling bias is corrected, not the loss scale.
     """
     n = len(z_anchor)
     if n < 2:
-        raise ValueError("InfoNCE needs at least 2 graphs per batch")
+        raise ValueError("InfoNCE needs at least 2 rows (graphs or nodes) "
+                         "per batch")
     sims = (l2_normalize(z_anchor) @ l2_normalize(z_view).T) * (1.0 / tau)
     eye = np.eye(n, dtype=bool)
     positives = sims[(np.arange(n), np.arange(n))]
@@ -99,7 +108,11 @@ def semantic_info_nce(z_anchor: Tensor, z_view: Tensor, tau: float) -> Tensor:
     row_max = Tensor(masked.data.max(axis=1, keepdims=True))
     log_denominator = ((masked - row_max).exp().sum(axis=1)).log() \
         + row_max.reshape(n)
-    return (log_denominator - positives).mean()
+    per_row = log_denominator - positives
+    if weights is not None:
+        scale = np.asarray(weights, dtype=np.float64)
+        per_row = per_row * Tensor(scale / scale.mean())
+    return per_row.mean()
 
 
 def complement_loss(z_anchor: Tensor, z_view: Tensor,

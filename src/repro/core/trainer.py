@@ -1,4 +1,5 @@
-"""Pre-training loop for SGCL (and a generic loop reused by baselines)."""
+"""The pre-training loop shared by SGCL, node-level SGCL and every
+baseline, and the SGCL trainer built on it."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from ..validate.numerics import NumericsGuard, global_grad_norm
 from .config import SGCLConfig
 from .model import SGCLModel
 
-__all__ = ["SGCLTrainer", "global_grad_norm"]
+__all__ = ["PretrainLoop", "SGCLTrainer", "global_grad_norm"]
 
 
 def summarize_epoch(epoch_stats: dict[str, list[float]]) -> dict[str, float]:
@@ -39,42 +40,30 @@ def summarize_epoch(epoch_stats: dict[str, list[float]]) -> dict[str, float]:
     return summary
 
 
-class SGCLTrainer:
-    """Owns an :class:`SGCLModel`, its optimiser, and the pre-training loop.
+class PretrainLoop:
+    """The guarded epoch loop shared by every pre-training method.
 
-    Parameters
-    ----------
-    in_dim:
-        Node feature dimension of the corpus.
-    config:
-        Hyper-parameters; ``config.seed`` seeds model init, shuffling and
-        augmentation sampling independently.
+    SGCL (:class:`SGCLTrainer`), node-level SGCL
+    (:class:`repro.sampling.NodeSGCLTrainer`) and every baseline
+    (:class:`repro.baselines.BasePretrainer`) run the same batch → loss →
+    backward → step update. A subclass owns ``optimizer`` and a per-instance
+    ``history`` list, implements :meth:`save_checkpoint`, and supplies:
 
-    Example
-    -------
-    >>> trainer = SGCLTrainer(dataset.num_features, SGCLConfig(epochs=5))
-    >>> history = trainer.pretrain(dataset.graphs)
-    >>> embeddings = embed_dataset(trainer.encoder, dataset)
+    * ``method_name`` — the tag on ``epoch`` events;
+    * ``default_epochs`` — what ``pretrain(data)`` runs without ``epochs``;
+    * :meth:`_start_training` — switch to train mode and return the
+      ``(numerics_policy, grad_clip)`` pair for the run's
+      :class:`~repro.validate.NumericsGuard`;
+    * :meth:`_epoch_batches` — one epoch's usable batches drawn from
+      ``data``;
+    * :meth:`_batch_loss` — ``(loss, stats)`` for one batch, where
+      ``stats`` holds floats averaged into the epoch row and ``loss`` is
+      None when the batch has nothing to train on (counted as skipped).
     """
 
-    def __init__(self, in_dim: int, config: SGCLConfig | None = None):
-        self.config = config or SGCLConfig()
-        self.in_dim = in_dim
-        root = np.random.default_rng(self.config.seed)
-        self._init_rng = np.random.default_rng(root.integers(2 ** 63))
-        self._shuffle_rng = np.random.default_rng(root.integers(2 ** 63))
-        self._augment_rng = np.random.default_rng(root.integers(2 ** 63))
-        self.model = SGCLModel(in_dim, self.config, rng=self._init_rng)
-        self.optimizer = Adam(self.model.parameters(), lr=self.config.lr)
-        self.history: list[dict[str, float]] = []
-        self._best_loss = float("inf")
-        self._stop_requested = False
-
-    # ------------------------------------------------------------------
-    @property
-    def encoder(self):
-        """The pre-trained representation encoder ``f_k`` (downstream use)."""
-        return self.model.encoder
+    method_name = "SGCL"
+    _best_loss = float("inf")
+    _stop_requested = False
 
     # ------------------------------------------------------------------
     @property
@@ -96,31 +85,25 @@ class SGCLTrainer:
         self._stop_requested = True
 
     # ------------------------------------------------------------------
-    def pretrain(self, graphs: Sequence[Graph], epochs: int | None = None, *,
+    def pretrain(self, data, epochs: int | None = None, *,
                  checkpoint_dir: str | Path | None = None,
                  save_every: int | None = None,
                  observer=None) -> list[dict[str, float]]:
-        """Run contrastive pre-training; returns per-epoch stats.
+        """Run pre-training on ``data``; returns the per-epoch history.
 
-        Every history entry is one epoch row carrying the loss components
-        (``loss``, ``loss_s``, ``loss_c``, ``loss_g``, ``theta_w``), the
-        Lipschitz-constant summary (``k_v_mean/std/min/max``), the realised
-        augmentation strength (``drop_fraction``), the gradient norm and
-        timing (``epoch``, ``epoch_seconds``, ``num_batches``) — so
-        sensitivity benchmarks can plot curves without re-running, and
-        resumed runs (the history is checkpointed) keep the full record.
+        Every history entry is one epoch row: the mean of each per-batch
+        stat (``_min``/``_max`` keys keep their extreme) plus ``epoch``,
+        ``num_batches``, ``skipped_batches`` and ``epoch_seconds``. The
+        history is checkpointed, so resumed runs keep the full record.
 
-        Batches with fewer than 2 graphs are skipped (InfoNCE needs
-        negatives), matching ``drop_last`` behaviour of the reference code.
-
-        Every batch runs under a :class:`~repro.validate.NumericsGuard`
-        (``config.numerics_policy``): a NaN/Inf loss component or gradient
-        norm raises, skips the batch (counted in the row's
-        ``skipped_batches`` and the ``numerics/skipped_batches`` metric)
-        or warns; ``config.grad_clip`` additionally caps the global
-        gradient L2 norm. An epoch in which *every* batch was skipped
-        still yields a well-formed row (``loss`` = NaN, ``num_batches`` =
-        0) plus a :class:`RuntimeWarning`, so ``repro report`` and
+        Every batch runs under a :class:`~repro.validate.NumericsGuard`:
+        a NaN/Inf loss component or gradient norm raises, skips the batch
+        (counted in the row's ``skipped_batches`` and the
+        ``numerics/skipped_batches`` metric) or warns; a gradient cap
+        additionally bounds the global gradient L2 norm. An epoch in
+        which *every* batch was skipped still yields a well-formed row
+        (``loss`` = NaN, ``num_batches`` = 0) plus a
+        :class:`RuntimeWarning`, so ``repro report`` and
         checkpointed-history consumers keep working.
 
         With ``checkpoint_dir`` set, every epoch atomically refreshes
@@ -139,20 +122,21 @@ class SGCLTrainer:
         epochs, bit for bit.
 
         ``observer`` overrides the ambient :func:`repro.obs.current`
-        observer; each epoch row is also emitted as an ``epoch`` event and
-        the loop is wrapped in ``pretrain/epoch`` / ``pretrain/batch``
-        spans, with ``pretrain/loss`` / ``pretrain/backward`` /
-        ``pretrain/step`` children splitting each batch into its forward,
-        backward and optimiser phases (the granularity ``repro profile``
-        attributes op time to). With no observer active all of this is a
-        no-op.
+        observer; each epoch row is also emitted as an ``epoch`` event
+        tagged with ``method_name``, and the loop is wrapped in
+        ``pretrain/epoch`` / ``pretrain/batch`` spans, with
+        ``pretrain/loss`` / ``pretrain/backward`` / ``pretrain/step``
+        children splitting each batch into its forward, backward and
+        optimiser phases (the granularity ``repro profile`` attributes op
+        time to). With an observer enabled, rows also carry the mean
+        ``grad_norm``. With no observer active all of this is a no-op.
         """
-        epochs = epochs if epochs is not None else self.config.epochs
+        epochs = epochs if epochs is not None else self.default_epochs
         obs = observer if observer is not None else current()
-        parameters = self.model.parameters()
-        guard = NumericsGuard(policy=self.config.numerics_policy,
-                              grad_clip=self.config.grad_clip, observer=obs)
-        self.model.train()
+        parameters = self.optimizer.params
+        policy, grad_clip = self._start_training()
+        guard = NumericsGuard(policy=policy, grad_clip=grad_clip,
+                              observer=obs)
         self._stop_requested = False
         for _ in range(epochs):
             if self._stop_requested:
@@ -162,22 +146,13 @@ class SGCLTrainer:
             num_batches = 0
             skipped_batches = 0
             started = time.perf_counter()
-            loader = DataLoader(graphs, self.config.batch_size, shuffle=True,
-                                rng=self._shuffle_rng)
-            if self.config.prefetch_batches > 0:
-                from ..runtime import PrefetchLoader
-
-                loader = PrefetchLoader(
-                    loader, prefetch=self.config.prefetch_batches)
+            batches = self._epoch_batches(data)
             with obs.span("pretrain/epoch"):
-                for batch in loader:
-                    if batch.num_graphs < 2:
-                        continue
+                for batch in batches:
                     with obs.span("pretrain/batch"):
                         with obs.span("pretrain/loss"):
-                            loss, stats = self.model.loss(batch,
-                                                          self._augment_rng)
-                        if not guard.check_loss(stats):
+                            loss, stats = self._batch_loss(batch)
+                        if loss is None or not guard.check_loss(stats):
                             skipped_batches += 1
                             continue
                         self.optimizer.zero_grad()
@@ -197,23 +172,114 @@ class SGCLTrainer:
             summary = summarize_epoch(epoch_stats)
             if num_batches == 0:
                 # Well-formed row even when every batch was skipped, so
-                # `repro report` and history consumers see a loss column.
+                # `repro report` and history consumers see a loss column
+                # (NaN, not 0.0, so best-loss checkpointing ignores it).
                 summary["loss"] = float("nan")
                 warnings.warn(
                     f"epoch {len(self.history) + 1}: no batch was trained "
-                    f"({skipped_batches} skipped; batch_size="
-                    f"{self.config.batch_size} over {len(graphs)} graphs)",
-                    RuntimeWarning, stacklevel=2)
+                    f"({skipped_batches} skipped)", RuntimeWarning,
+                    stacklevel=2)
             summary["epoch"] = len(self.history) + 1
             summary["num_batches"] = num_batches
             summary["skipped_batches"] = skipped_batches
             summary["epoch_seconds"] = time.perf_counter() - started
             self.history.append(summary)
-            obs.event("epoch", method="SGCL", **summary)
+            obs.event("epoch", method=self.method_name, **summary)
             if checkpoint_dir is not None:
                 self._checkpoint_epoch(Path(checkpoint_dir), summary,
                                        save_every)
         return self.history
+
+    def _checkpoint_epoch(self, directory: Path, summary: dict[str, float],
+                          save_every: int | None) -> None:
+        epoch = len(self.history)
+        self.save_checkpoint(directory / "latest.npz")
+        if save_every and epoch % save_every == 0:
+            self.save_checkpoint(directory / f"epoch-{epoch:04d}.npz")
+        loss = summary.get("loss", float("inf"))
+        if np.isfinite(loss) and loss < self._best_loss:
+            self._best_loss = loss
+            self.save_checkpoint(directory / "best.npz")
+
+    def save_emergency_checkpoint(self, directory: str | Path) -> Path:
+        """Write ``<directory>/emergency.npz`` from the current state.
+
+        Meant for the way out of an interrupted run: the trainer only
+        stops at epoch boundaries (see :meth:`request_stop`), so the
+        emergency bundle resumes bit-identically to a shorter run. The
+        write is atomic — a second interrupt mid-write leaves either the
+        previous file or none, never a truncated bundle.
+        """
+        return self.save_checkpoint(Path(directory) / "emergency.npz",
+                                    metadata={"emergency": True})
+
+
+class SGCLTrainer(PretrainLoop):
+    """Owns an :class:`SGCLModel`, its optimiser, and the pre-training loop.
+
+    Parameters
+    ----------
+    in_dim:
+        Node feature dimension of the corpus.
+    config:
+        Hyper-parameters; ``config.seed`` seeds model init, shuffling and
+        augmentation sampling independently.
+
+    ``pretrain(graphs, epochs=config.epochs)`` runs :class:`PretrainLoop`
+    over shuffled minibatches of ``config.batch_size`` graphs, under
+    ``config.numerics_policy`` and ``config.grad_clip``. Batches with
+    fewer than 2 graphs are dropped (InfoNCE needs negatives), matching
+    the ``drop_last`` behaviour of the reference code. Epoch rows carry
+    the loss components (``loss``, ``loss_s``, ``loss_c``, ``loss_g``,
+    ``theta_w``), the Lipschitz-constant summary
+    (``k_v_mean/std/min/max``) and the realised augmentation strength
+    (``drop_fraction``), so sensitivity benchmarks can plot curves
+    without re-running.
+
+    Example
+    -------
+    >>> trainer = SGCLTrainer(dataset.num_features, SGCLConfig(epochs=5))
+    >>> history = trainer.pretrain(dataset.graphs)
+    >>> embeddings = embed_dataset(trainer.encoder, dataset)
+    """
+
+    def __init__(self, in_dim: int, config: SGCLConfig | None = None):
+        self.config = config or SGCLConfig()
+        self.in_dim = in_dim
+        root = np.random.default_rng(self.config.seed)
+        self._init_rng = np.random.default_rng(root.integers(2 ** 63))
+        self._shuffle_rng = np.random.default_rng(root.integers(2 ** 63))
+        self._augment_rng = np.random.default_rng(root.integers(2 ** 63))
+        self.model = SGCLModel(in_dim, self.config, rng=self._init_rng)
+        self.optimizer = Adam(self.model.parameters(), lr=self.config.lr)
+        self.history: list[dict[str, float]] = []
+
+    # ------------------------------------------------------------------
+    @property
+    def encoder(self):
+        """The pre-trained representation encoder ``f_k`` (downstream use)."""
+        return self.model.encoder
+
+    @property
+    def default_epochs(self) -> int:
+        return self.config.epochs
+
+    def _start_training(self) -> tuple[str, float | None]:
+        self.model.train()
+        return self.config.numerics_policy, self.config.grad_clip
+
+    def _epoch_batches(self, graphs: Sequence[Graph]):
+        loader = DataLoader(graphs, self.config.batch_size, shuffle=True,
+                            rng=self._shuffle_rng)
+        if self.config.prefetch_batches > 0:
+            from ..runtime import PrefetchLoader
+
+            loader = PrefetchLoader(
+                loader, prefetch=self.config.prefetch_batches)
+        return (batch for batch in loader if batch.num_graphs >= 2)
+
+    def _batch_loss(self, batch):
+        return self.model.loss(batch, self._augment_rng)
 
     def precompute_lipschitz(self, graphs: Sequence[Graph], *,
                              workers: int | None = None,
@@ -245,29 +311,6 @@ class SGCLTrainer:
             cache = None
         return precompute_node_constants(self.model.generator, graphs,
                                          workers=workers, cache=cache)
-
-    def _checkpoint_epoch(self, directory: Path, summary: dict[str, float],
-                          save_every: int | None) -> None:
-        epoch = len(self.history)
-        self.save_checkpoint(directory / "latest.npz")
-        if save_every and epoch % save_every == 0:
-            self.save_checkpoint(directory / f"epoch-{epoch:04d}.npz")
-        loss = summary.get("loss", float("inf"))
-        if np.isfinite(loss) and loss < self._best_loss:
-            self._best_loss = loss
-            self.save_checkpoint(directory / "best.npz")
-
-    def save_emergency_checkpoint(self, directory: str | Path) -> Path:
-        """Write ``<directory>/emergency.npz`` from the current state.
-
-        Meant for the way out of an interrupted run: the trainer only
-        stops at epoch boundaries (see :meth:`request_stop`), so the
-        emergency bundle resumes bit-identically to a shorter run. The
-        write is atomic — a second interrupt mid-write leaves either the
-        previous file or none, never a truncated bundle.
-        """
-        return self.save_checkpoint(Path(directory) / "emergency.npz",
-                                    metadata={"emergency": True})
 
     # ------------------------------------------------------------------
     # Persistence (see repro.serve.checkpoint for the bundle format)

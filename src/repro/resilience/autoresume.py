@@ -84,18 +84,25 @@ def find_latest_checkpoint(directory: str | Path,
 
 
 def resume_trainer(directory: str | Path):
-    """Rebuild an :class:`~repro.core.SGCLTrainer` from the latest valid
-    checkpoint under ``directory``; None when no valid checkpoint exists.
+    """Rebuild a trainer from the latest valid checkpoint under
+    ``directory``; None when no valid checkpoint exists.
 
-    The resumed trainer's continued ``pretrain`` is bit-identical to a run
-    that never stopped (see :meth:`SGCLTrainer.from_checkpoint`).
+    Bundles tagged ``node_level`` come back as a
+    :class:`~repro.sampling.NodeSGCLTrainer`, all others as an
+    :class:`~repro.core.SGCLTrainer`. The resumed trainer's continued
+    ``pretrain`` is bit-identical to a run that never stopped (see
+    :meth:`SGCLTrainer.from_checkpoint`).
     """
     from ..core.trainer import SGCLTrainer
+    from ..sampling import NodeSGCLTrainer
+    from ..serve.checkpoint import read_checkpoint_header
 
     path = find_latest_checkpoint(directory)
     if path is None:
         return None
-    trainer = SGCLTrainer.from_checkpoint(path)
+    metadata = read_checkpoint_header(path).get("metadata", {})
+    cls = NodeSGCLTrainer if metadata.get("node_level") else SGCLTrainer
+    trainer = cls.from_checkpoint(path)
     current().event("resume", checkpoint=str(path),
                     epochs_done=len(trainer.history))
     return trainer

@@ -7,7 +7,9 @@ minibatch of sampled subgraphs runs the same towers — per-subgraph
 LipschitzConstantGenerator`, Lipschitz augmentation for the positive
 view — but the loss is a local-to-local (L2L) InfoNCE between a node's
 representation in the anchor subgraph and its representation in the
-augmented view, with the other sampled nodes as negatives.
+augmented view, with the other sampled nodes as negatives — the same
+:func:`~repro.core.losses.semantic_info_nce` kernel, imported here as
+``node_info_nce``.
 
 Two corrections keep the estimate honest on a sampled stream:
 
@@ -28,50 +30,20 @@ carry over unchanged.
 
 from __future__ import annotations
 
-import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from ..core import SGCLConfig, SGCLModel
+from ..core import SGCLConfig, SGCLModel, SGCLTrainer
 from ..core.losses import graph_likelihood_loss, weight_regularizer
-from ..core.trainer import summarize_epoch
+# The L2L objective is Eq. 24 over matched node rows; this module keeps
+# the name for the node-level call site.
+from ..core.losses import semantic_info_nce as node_info_nce
 from ..graph import Batch
-from ..nn import Adam, l2_normalize
-from ..obs import current
 from ..tensor import Tensor, gather
-from ..validate.numerics import NumericsGuard, global_grad_norm
 from .stream import SubgraphStream
 
 __all__ = ["NodeSGCLTrainer", "node_info_nce", "node_contrastive_loss"]
-
-
-def node_info_nce(z_anchor: Tensor, z_view: Tensor, tau: float,
-                  weights: np.ndarray | None = None) -> Tensor:
-    """L2L InfoNCE over matched node rows, optionally importance-weighted.
-
-    Row ``i`` of ``z_anchor`` and ``z_view`` must be the same node in the
-    anchor and augmented subgraph; every other row is a negative. With
-    ``weights`` (the GraphSAINT ``α_v``), per-node terms are scaled by
-    ``weights / mean(weights)`` — mean-1 within the batch, so only the
-    relative sampling bias is corrected, not the loss scale.
-    """
-    n = len(z_anchor)
-    if n < 2:
-        raise ValueError("node InfoNCE needs at least 2 matched nodes")
-    sims = (l2_normalize(z_anchor) @ l2_normalize(z_view).T) * (1.0 / tau)
-    eye = np.eye(n, dtype=bool)
-    positives = sims[(np.arange(n), np.arange(n))]
-    masked = sims + Tensor(np.where(eye, -1e9, 0.0))
-    row_max = Tensor(masked.data.max(axis=1, keepdims=True))
-    log_denominator = ((masked - row_max).exp().sum(axis=1)).log() \
-        + row_max.reshape(n)
-    per_node = log_denominator - positives
-    if weights is not None:
-        scale = np.asarray(weights, dtype=np.float64)
-        per_node = per_node * Tensor(scale / scale.mean())
-    return per_node.mean()
 
 
 def node_contrastive_loss(model: SGCLModel, batch: Batch,
@@ -128,15 +100,20 @@ def node_contrastive_loss(model: SGCLModel, batch: Batch,
     return total, stats
 
 
-class NodeSGCLTrainer:
-    """Owns an :class:`SGCLModel` and the subgraph-stream training loop.
+class NodeSGCLTrainer(SGCLTrainer):
+    """:class:`~repro.core.SGCLTrainer` over a subgraph stream.
 
     The model is the unmodified graph-level :class:`SGCLModel` — both
     towers, the probability head, the generator objective — only the
-    loss assembly differs (see :func:`node_contrastive_loss`). Checkpoint
-    bundles use the standard format (``metadata["node_level"] = True``),
-    so ``repro embed``/the serving fleet rebuild the encoder with the
-    existing machinery.
+    loss assembly differs (see :func:`node_contrastive_loss`). The epoch
+    loop, ``request_stop``, checkpointing and ``from_checkpoint`` are
+    inherited; ``pretrain(stream, epochs)`` takes a
+    :class:`~repro.sampling.SubgraphStream`, a minibatch with fewer than
+    two augmentation survivors counts as skipped, and epoch rows also
+    carry ``contrast_nodes``. Checkpoint bundles use the standard format
+    tagged ``metadata["node_level"] = True``, so ``repro embed``/the
+    serving fleet rebuild the encoder with the existing machinery and
+    :func:`repro.resilience.resume_trainer` picks this class.
 
     Epoch indexing doubles as the stream's epoch seed tag: epoch ``e``
     draws ``stream.batches(epoch=len(history))``, so a resumed trainer
@@ -144,147 +121,24 @@ class NodeSGCLTrainer:
     seen.
     """
 
+    method_name = "SGCL-node"
+
     def __init__(self, in_dim: int, config: SGCLConfig | None = None, *,
                  max_contrast_nodes: int = 512):
-        self.config = config or SGCLConfig()
-        self.in_dim = in_dim
+        super().__init__(in_dim, config)
         self.max_contrast_nodes = max_contrast_nodes
-        root = np.random.default_rng(self.config.seed)
-        self._init_rng = np.random.default_rng(root.integers(2 ** 63))
-        self._shuffle_rng = np.random.default_rng(root.integers(2 ** 63))
-        self._augment_rng = np.random.default_rng(root.integers(2 ** 63))
-        self.model = SGCLModel(in_dim, self.config, rng=self._init_rng)
-        self.optimizer = Adam(self.model.parameters(), lr=self.config.lr)
-        self.history: list[dict[str, float]] = []
-        self._best_loss = float("inf")
 
-    # ------------------------------------------------------------------
-    @property
-    def encoder(self):
-        return self.model.encoder
+    def _epoch_batches(self, stream: SubgraphStream):
+        return stream.batches(epoch=len(self.history))
 
-    # ------------------------------------------------------------------
-    def pretrain(self, stream: SubgraphStream, epochs: int | None = None, *,
-                 checkpoint_dir: str | Path | None = None,
-                 save_every: int | None = None,
-                 observer=None) -> list[dict[str, float]]:
-        """Pre-train on the stream; returns per-epoch history rows.
-
-        Mirrors :meth:`repro.core.SGCLTrainer.pretrain`: every batch runs
-        under a :class:`NumericsGuard` (``config.numerics_policy`` +
-        ``config.grad_clip``), epoch rows carry the loss components and
-        ``K_V`` summary plus sampling counters (``num_batches``,
-        ``skipped_batches``, ``contrast_nodes``), and ``checkpoint_dir``
-        refreshes ``latest.npz`` / ``best.npz`` (and ``epoch-NNNN.npz``
-        with ``save_every``) after every epoch. Batches are wrapped in
-        ``pretrain/subgraph`` spans so ``repro profile`` attributes the
-        node-level hot path separately from the graph-level one.
-        """
-        epochs = epochs if epochs is not None else self.config.epochs
-        obs = observer if observer is not None else current()
-        parameters = self.model.parameters()
-        guard = NumericsGuard(policy=self.config.numerics_policy,
-                              grad_clip=self.config.grad_clip, observer=obs)
-        self.model.train()
-        for _ in range(epochs):
-            epoch_stats: dict[str, list[float]] = {}
-            num_batches = 0
-            skipped_batches = 0
-            started = time.perf_counter()
-            with obs.span("pretrain/epoch"):
-                for batch, norms in stream.batches(epoch=len(self.history)):
-                    with obs.span("pretrain/subgraph"):
-                        with obs.span("pretrain/loss"):
-                            loss, stats = node_contrastive_loss(
-                                self.model, batch, norms, self._augment_rng,
-                                max_contrast_nodes=self.max_contrast_nodes)
-                        if loss is None or not guard.check_loss(stats):
-                            skipped_batches += 1
-                            continue
-                        self.optimizer.zero_grad()
-                        with obs.span("pretrain/backward"):
-                            loss.backward()
-                        grad_norm = global_grad_norm(parameters)
-                        if not guard.guard_gradients(parameters, grad_norm):
-                            skipped_batches += 1
-                            continue
-                        if obs.enabled:
-                            stats["grad_norm"] = grad_norm
-                        with obs.span("pretrain/step"):
-                            self.optimizer.step()
-                    num_batches += 1
-                    for key, value in stats.items():
-                        epoch_stats.setdefault(key, []).append(value)
-            summary = summarize_epoch(epoch_stats)
-            if num_batches == 0:
-                summary["loss"] = float("nan")
-                warnings.warn(
-                    f"epoch {len(self.history) + 1}: no subgraph batch was "
-                    f"trained ({skipped_batches} skipped)",
-                    RuntimeWarning, stacklevel=2)
-            summary["epoch"] = len(self.history) + 1
-            summary["num_batches"] = num_batches
-            summary["skipped_batches"] = skipped_batches
-            summary["epoch_seconds"] = time.perf_counter() - started
-            self.history.append(summary)
-            obs.event("epoch", method="SGCL-node", **summary)
-            if checkpoint_dir is not None:
-                self._checkpoint_epoch(Path(checkpoint_dir), summary,
-                                       save_every)
-        return self.history
-
-    # ------------------------------------------------------------------
-    def _checkpoint_epoch(self, directory: Path, summary: dict[str, float],
-                          save_every: int | None) -> None:
-        epoch = len(self.history)
-        self.save_checkpoint(directory / "latest.npz")
-        if save_every and epoch % save_every == 0:
-            self.save_checkpoint(directory / f"epoch-{epoch:04d}.npz")
-        loss = summary.get("loss", float("inf"))
-        if np.isfinite(loss) and loss < self._best_loss:
-            self._best_loss = loss
-            self.save_checkpoint(directory / "best.npz")
+    def _batch_loss(self, item: tuple[Batch, np.ndarray]):
+        batch, norms = item
+        return node_contrastive_loss(
+            self.model, batch, norms, self._augment_rng,
+            max_contrast_nodes=self.max_contrast_nodes)
 
     def save_checkpoint(self, path: str | Path,
                         metadata: dict | None = None) -> Path:
         """Standard checkpoint bundle, tagged ``node_level``."""
-        from ..serve.checkpoint import save_checkpoint
-
-        rng_state = {
-            "shuffle": self._shuffle_rng.bit_generator.state,
-            "augment": self._augment_rng.bit_generator.state,
-        }
-        return save_checkpoint(
-            path, self.model, config=self.config, optimizer=self.optimizer,
-            rng_state=rng_state,
-            metadata={"history": self.history, "node_level": True,
-                      **(metadata or {})})
-
-    @classmethod
-    def from_checkpoint(cls, path: str | Path, *,
-                        max_contrast_nodes: int = 512) -> "NodeSGCLTrainer":
-        """Rebuild a trainer that continues bit-identically (see
-        :meth:`repro.core.SGCLTrainer.from_checkpoint`; epoch indexing
-        re-derives the sample stream, so no loader state is needed)."""
-        from ..serve.checkpoint import load_checkpoint
-
-        checkpoint = load_checkpoint(path)
-        config = checkpoint.config
-        if config is None or checkpoint.in_dim is None:
-            raise ValueError(
-                "checkpoint lacks an SGCLConfig/in_dim; it was not written "
-                "by NodeSGCLTrainer.save_checkpoint")
-        trainer = cls(checkpoint.in_dim, config,
-                      max_contrast_nodes=max_contrast_nodes)
-        checkpoint.restore(trainer.model, trainer.optimizer)
-        if checkpoint.rng_state is not None:
-            trainer._shuffle_rng.bit_generator.state = \
-                checkpoint.rng_state["shuffle"]
-            trainer._augment_rng.bit_generator.state = \
-                checkpoint.rng_state["augment"]
-        trainer.history = list(checkpoint.metadata.get("history", []))
-        losses = [row.get("loss") for row in trainer.history
-                  if row.get("loss") is not None
-                  and np.isfinite(row.get("loss"))]
-        trainer._best_loss = min(losses, default=float("inf"))
-        return trainer
+        return super().save_checkpoint(
+            path, metadata={"node_level": True, **(metadata or {})})

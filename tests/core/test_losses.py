@@ -59,6 +59,30 @@ def test_info_nce_temperature_scales_hardness(rng):
     assert sharp.item() < smooth.item()
 
 
+def test_info_nce_weighted_prefers_matched_rows(rng):
+    """Node-level use: row i of both inputs is the same node, weighted by
+    its sampling-bias correction."""
+    z = Tensor(rng.normal(size=(12, 6)))
+    weights = rng.uniform(0.5, 2.0, size=12)
+    aligned = semantic_info_nce(z, z, tau=0.2, weights=weights)
+    shuffled = semantic_info_nce(
+        z, Tensor(z.data[rng.permutation(12)]), tau=0.2, weights=weights)
+    assert np.isfinite(aligned.item())
+    assert aligned.item() < shuffled.item()
+
+
+def test_info_nce_weights_are_mean_normalised(rng):
+    a = Tensor(rng.normal(size=(8, 4)))
+    b = Tensor(rng.normal(size=(8, 4)))
+    base = semantic_info_nce(a, b, tau=0.2).item()
+    uniform = semantic_info_nce(a, b, tau=0.2,
+                                weights=np.full(8, 7.0)).item()
+    assert uniform == pytest.approx(base)  # uniform weights are a no-op
+    skewed = semantic_info_nce(a, b, tau=0.2,
+                               weights=np.arange(1.0, 9.0)).item()
+    assert skewed != pytest.approx(base)
+
+
 def test_complement_loss_penalises_close_complements(rng):
     anchors = _orthogonal_embeddings(3)
     views = anchors

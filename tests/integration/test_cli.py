@@ -182,6 +182,42 @@ def test_pretrain_checkpoint_dir_rejects_baselines(tmp_path):
               "--checkpoint-dir", str(tmp_path)])
 
 
+@pytest.mark.parametrize("level", ["graph", "node"])
+def test_pretrain_sigint_writes_emergency_checkpoint(level, monkeypatch,
+                                                     tmp_path, capsys):
+    """One single-run path for both levels: a SIGINT during the first
+    epoch stops at its end, writes emergency.npz and exits 130."""
+    import signal
+
+    from repro.core import SGCLTrainer
+    from repro.sampling import NodeSGCLTrainer
+    from repro.serve.checkpoint import read_checkpoint_header
+
+    cls = NodeSGCLTrainer if level == "node" else SGCLTrainer
+    original = cls._epoch_batches
+
+    def interrupted(self, data):
+        signal.raise_signal(signal.SIGINT)
+        return original(self, data)
+
+    monkeypatch.setattr(cls, "_epoch_batches", interrupted)
+    args = ["pretrain", "--method", "SGCL", "--epochs", "3",
+            "--checkpoint-dir", str(tmp_path)]
+    if level == "node":
+        args += ["--node-level", "--dataset", "community-1m", "--scale",
+                 "0.002", "--samples-per-epoch", "4", "--subgraph-batch",
+                 "2", "--workers", "1"]
+    else:
+        args += ["--dataset", "MUTAG", "--scale", "0.1"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(args)
+    assert excinfo.value.code == 130
+    assert "interrupted (SIGINT) after 1 epoch(s)" in capsys.readouterr().out
+    header = read_checkpoint_header(tmp_path / "emergency.npz")
+    assert len(header["metadata"]["history"]) == 1
+    assert header["metadata"].get("node_level", False) == (level == "node")
+
+
 def test_embed_reports_failing_checkpoint_path(tmp_path):
     missing = tmp_path / "nope.npz"
     with pytest.raises(SystemExit, match="nope.npz"):

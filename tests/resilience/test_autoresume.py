@@ -10,12 +10,15 @@ import pytest
 from _helpers import make_path, make_triangle
 
 from repro.core import SGCLConfig, SGCLTrainer
+from repro.data import load_dataset
 from repro.obs import Observer
 from repro.resilience import (
     find_latest_checkpoint,
     interrupt_guard,
     resume_trainer,
 )
+from repro.sampling import (NodeSGCLTrainer, SubgraphStream,
+                            load_node_dataset, make_sampler)
 from repro.serve import CheckpointIntegrityError, load_checkpoint, verify_checkpoint
 from repro.serve.checkpoint import read_checkpoint_header
 from repro.validate.faults import corrupt_checkpoint
@@ -167,6 +170,44 @@ def test_interrupted_then_resumed_matches_uninterrupted(tmp_path, graphs):
     assert len(resumed.history) == 2
     resumed.pretrain(graphs, epochs=2)
 
+    assert _comparable(resumed.history) == _comparable(reference.history)
+    original = reference.model.state_dict()
+    restored = resumed.model.state_dict()
+    assert set(original) == set(restored)
+    assert all(np.array_equal(original[k], restored[k]) for k in original)
+
+
+def _graph_level():
+    dataset = load_dataset("MUTAG", seed=0, scale=0.1)
+    config = SGCLConfig(epochs=3, batch_size=32, seed=0)
+    return (lambda: SGCLTrainer(dataset.num_features, config),
+            lambda: dataset.graphs)
+
+
+def _node_level():
+    dataset = load_node_dataset("community-1m", seed=0, scale=0.0005)
+    config = SGCLConfig(hidden_dim=8, num_layers=2, epochs=3, seed=0)
+    sampler = make_sampler("walk", dataset, roots=8, walk_length=4)
+    return (lambda: NodeSGCLTrainer(dataset.num_features, config),
+            lambda: SubgraphStream(sampler, samples_per_epoch=4,
+                                   batch_size=2, seed=1, norm_samples=10))
+
+
+@pytest.mark.parametrize("level", ["graph", "node"])
+def test_resume_equivalence(level, tmp_path):
+    """3 epochs in one go == 1 epoch, resume from the checkpoint
+    directory, 2 more: same history, same weights, bit for bit."""
+    make_trainer, make_data = {"graph": _graph_level,
+                               "node": _node_level}[level]()
+    reference = make_trainer()
+    reference.pretrain(make_data())
+
+    make_trainer().pretrain(make_data(), epochs=1, checkpoint_dir=tmp_path)
+    resumed = resume_trainer(tmp_path)
+    assert type(resumed) is type(reference)
+    resumed.pretrain(make_data(), epochs=2, checkpoint_dir=tmp_path)
+
+    assert len(resumed.history) == len(reference.history) == 3
     assert _comparable(resumed.history) == _comparable(reference.history)
     original = reference.model.state_dict()
     restored = resumed.model.state_dict()

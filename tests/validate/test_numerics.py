@@ -163,7 +163,7 @@ def test_baseline_guard_skips_injected_nan(rng):
                 numerics_policy="skip")
     with inject_nan_loss(model, batches={0}, attr="step"):
         history = model.pretrain(graphs, epochs=1, observer=observer)
-    assert np.isfinite(history[-1])
+    assert np.isfinite(history[-1]["loss"])
     assert observer.metrics.count("numerics/skipped_batches") == 1
 
 
@@ -214,7 +214,7 @@ def test_baseline_empty_epoch_is_nan_not_zero(rng):
     model.needs_pairs = True  # force the <2-graph skip path
     with pytest.warns(RuntimeWarning, match="no batch was trained"):
         history = model.pretrain(_corpus(rng, n=3), epochs=1)
-    assert np.isnan(history[0])
+    assert np.isnan(history[0]["loss"])
 
 
 def test_history_with_nan_row_round_trips_checkpoints(rng, tmp_path):
