@@ -11,18 +11,13 @@ mid-request is detected by the parent's liveness poll and surfaces as
 failover path consumes, so a real process death drains onto the
 surviving shards the same way an in-process ``kill()`` does.
 
-The fault-containment lessons from :class:`repro.runtime.ParallelExecutor`
-carry over:
+The child is a :class:`repro.runtime.supervisor.Child`, the same
+supervised process the executor pool uses. Every request is bounded by
+``response_timeout``: a child that misses it is terminated and the
+replica reads as down, so a late reply can never be mistaken for the
+answer to the next request.
 
-* each replica talks over its **own private duplex pipe** — a single
-  writer per direction, no shared queue lock a dying child could strand;
-* the child runs under the **null observer** (a forked child inherits
-  the parent's activation stack, and letting every replica append to
-  one JSONL log would interleave writes);
-* requests are bounded by ``response_timeout`` — a hung child reads as
-  down rather than blocking the fleet.
-
-Chaos hook: ``fault`` is a picklable callable invoked in the child with
+Chaos hook: ``fault`` is a callable invoked in the child with
 the running request ordinal before each embed —
 :class:`repro.validate.faults.KillWorkerOnce` drops straight in to kill
 the replica on request *k* exactly once per marker file.
@@ -33,68 +28,55 @@ in-process :class:`FleetWorker`\\ s on platforms without it.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import traceback
+import time
 
-from ..resilience import CircuitBreaker, Deadline, DeadlineExceeded
+from ..resilience import CircuitBreaker
 from ..runtime import fork_available
+from ..runtime.supervisor import Child, ChildDown
 from ..serve.service import EmbeddingService
 from .worker import FleetWorker, WorkerDownError
 
 __all__ = ["ProcessReplica"]
 
 
-def _child_main(conn, worker_id: str, checkpoint: str, version: str,
-                cache_size: int, max_batch_size: int, fault) -> None:
-    """Child loop: serve embed/stats/hot-swap requests until ``stop``.
+def _replica_handler(worker_id: str, checkpoint, version: str,
+                     cache_size: int, max_batch_size: int, fault):
+    """Build the child's message dispatch around a regular FleetWorker.
 
-    Wraps a regular :class:`FleetWorker` around a service rebuilt from
-    the checkpoint, so slot selection, canary fallback and telemetry
-    behave identically to the in-process backend.
+    The worker wraps a service rebuilt from the checkpoint, so slot
+    selection, canary fallback and telemetry behave identically to the
+    in-process backend.
     """
-    from ..obs.observer import _ACTIVE, NULL_OBSERVER
-
-    _ACTIVE[:] = [NULL_OBSERVER]
     worker = FleetWorker(
         worker_id,
         EmbeddingService.from_checkpoint(checkpoint, cache_size=cache_size,
                                          max_batch_size=max_batch_size),
         version=version)
     requests = 0
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return
+
+    def handle(message):
+        nonlocal requests
         kind, *payload = message
-        try:
-            if kind == "stop":
-                conn.send(("ok", None))
-                return
-            if kind == "embed":
-                requests += 1
-                if fault is not None:
-                    fault(requests - 1)
-                result = worker.embed_items(payload[0])
-            elif kind == "stats":
-                result = worker.stats()
-            elif kind == "canary":
-                service, slot_version, slice_fraction = payload
-                worker.deploy_canary(service, slot_version, slice_fraction)
-                result = None
-            elif kind == "promote":
-                result = worker.promote_canary()
-            elif kind == "rollback":
-                result = worker.rollback_canary()
-            elif kind == "swap":
-                worker.swap_model(*payload)
-                result = payload[1]
-            else:
-                raise ValueError(f"unknown fleet message {kind!r}")
-        except Exception:  # noqa: BLE001 — serialised back to the parent
-            conn.send(("err", traceback.format_exc()))
-        else:
-            conn.send(("ok", result))
+        if kind == "embed":
+            requests += 1
+            if fault is not None:
+                fault(requests - 1)
+            return worker.embed_items(payload[0])
+        if kind == "stats":
+            return worker.stats()
+        if kind == "canary":
+            worker.deploy_canary(*payload)
+            return None
+        if kind == "promote":
+            return worker.promote_canary()
+        if kind == "rollback":
+            return worker.rollback_canary()
+        if kind == "swap":
+            worker.swap_model(*payload)
+            return payload[1]
+        raise ValueError(f"unknown fleet message {kind!r}")
+
+    return handle
 
 
 class ProcessReplica:
@@ -113,11 +95,11 @@ class ProcessReplica:
     cache_size / max_batch_size:
         Forwarded to the child's :class:`EmbeddingService`.
     response_timeout:
-        Seconds the parent waits on any single reply before declaring
-        the replica down (hung-child detection).
+        Seconds the parent waits on any single reply before terminating
+        the child and declaring the replica down (hung-child detection).
     fault:
-        Picklable chaos hook called with the request ordinal in the
-        child before each embed (e.g. ``KillWorkerOnce``).
+        Chaos hook called with the request ordinal in the child before
+        each embed (e.g. ``KillWorkerOnce``, ``HangWorkerOnce``).
     breaker:
         Parent-side per-replica breaker (router-fed); defaults match
         :class:`FleetWorker`.
@@ -148,21 +130,15 @@ class ProcessReplica:
             name=f"fleet-{worker_id}")
         self.canary_version: str | None = None
         self.canary_slice = 0.0
-        ctx = mp.get_context("fork")
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self._proc = ctx.Process(
-            target=_child_main,
-            args=(child_conn, worker_id, str(checkpoint), version,
-                  cache_size, max_batch_size, fault),
-            daemon=True)
-        self._proc.start()
-        child_conn.close()
-        self._closed = False
+        self._child = Child(
+            lambda: _replica_handler(worker_id, checkpoint, version,
+                                     cache_size, max_batch_size, fault),
+            name=f"replica {worker_id!r}")
 
     # ------------------------------------------------------------------
     @property
     def alive(self) -> bool:
-        return not self._closed and self._proc.is_alive()
+        return self._child.alive
 
     @property
     def canary(self):
@@ -179,28 +155,12 @@ class ProcessReplica:
         if not self.alive:
             raise WorkerDownError(f"replica {self.worker_id!r} is down")
         try:
-            self._conn.send(message)
-        except (BrokenPipeError, OSError) as error:
-            raise WorkerDownError(
-                f"replica {self.worker_id!r} pipe is broken: {error}"
-            ) from error
-        deadline = Deadline(self.response_timeout)
-        while not self._conn.poll(0.05):
-            if not self._proc.is_alive():
-                raise WorkerDownError(
-                    f"replica {self.worker_id!r} died mid-request "
-                    f"(exit code {self._proc.exitcode})")
-            try:
-                deadline.check(f"replica {self.worker_id!r} reply")
-            except DeadlineExceeded as error:
-                raise WorkerDownError(str(error)) from error
-        try:
-            kind, payload = self._conn.recv()
-        except (EOFError, OSError) as error:
-            raise WorkerDownError(
-                f"replica {self.worker_id!r} hung up mid-reply: {error}"
-            ) from error
-        if kind == "err":
+            self._child.send(message)
+            ok, payload = self._child.recv(
+                time.monotonic() + self.response_timeout)
+        except ChildDown as error:
+            raise WorkerDownError(str(error)) from error
+        if not ok:
             raise RuntimeError(
                 f"replica {self.worker_id!r} request failed; child "
                 f"traceback:\n{payload}")
@@ -269,24 +229,12 @@ class ProcessReplica:
     # ------------------------------------------------------------------
     def kill(self) -> None:
         """SIGKILL the child — the real thing, not a flag."""
-        if self._proc.is_alive():
-            self._proc.kill()
-            self._proc.join(timeout=5.0)
+        self._child.process.kill()
+        self._child.process.join(timeout=5.0)
 
     def close(self) -> None:
-        """Graceful stop (falls back to kill on a wedged child)."""
-        if self._closed:
-            return
-        if self._proc.is_alive():
-            try:
-                self._conn.send(("stop",))
-                self._proc.join(timeout=2.0)
-            except (BrokenPipeError, OSError):
-                pass
-            if self._proc.is_alive():
-                self.kill()
-        self._conn.close()
-        self._closed = True
+        """Graceful stop (escalating to terminate/kill on a wedged child)."""
+        self._child.stop()
 
     def __del__(self):  # pragma: no cover — best-effort cleanup
         try:

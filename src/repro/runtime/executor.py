@@ -1,8 +1,8 @@
 """Deterministic process-pool map — the substrate of every parallel path.
 
-:class:`ParallelExecutor` runs a picklable function over a list of items
-on a pool of worker processes while keeping the *results* indistinguishable
-from a serial run:
+:class:`ParallelExecutor` runs a function over a list of items on a pool
+of worker processes while keeping the *results* indistinguishable from a
+serial run:
 
 * **Deterministic chunking** — items are split into contiguous chunks by
   index before submission, and results are reassembled by chunk index, so
@@ -16,28 +16,26 @@ from a serial run:
   extra times (covering workers killed by the OOM killer or flaky I/O);
   the original traceback travels back as text and is raised in the parent
   as :class:`ParallelExecutionError` once the budget is exhausted.
-* **Fault containment** — the pool is self-managed (one task inbox and one
-  private result pipe per worker process — no lock is ever shared between
-  workers, so a worker killed at any instant cannot strand a lock a
-  sibling needs), and the parent can *see* sick workers:
-  a worker that dies mid-chunk (``resilience/worker_deaths``) is replaced
-  and its chunk resubmitted; a worker that exceeds the per-chunk
-  ``timeout`` is declared hung (``resilience/hung_workers``), terminated
-  and replaced; after ``max_pool_failures`` such events the executor
-  stops trusting process workers and finishes the remaining chunks
-  serially (``resilience/serial_degradations``). Because chunks are
-  deterministic and reassembled by index, none of this changes results —
-  the bit-identical serial-vs-parallel guarantee holds through every
-  recovery path.
+* **Fault containment** — each worker is a supervised
+  :class:`~repro.runtime.supervisor.Child`. A worker that dies mid-chunk
+  (``resilience/worker_deaths``) is replaced and its chunk resubmitted; a
+  worker that exceeds the per-chunk ``timeout`` is terminated
+  (``resilience/hung_workers``) and replaced; after ``max_pool_failures``
+  such events the executor stops trusting process workers and finishes
+  the remaining chunks serially (``resilience/serial_degradations``).
+  Because chunks are deterministic and reassembled by index, none of this
+  changes results — the bit-identical serial-vs-parallel guarantee holds
+  through every recovery path.
 * **Serial fallback** — with ``workers <= 1``, a single item, or on
   platforms without ``fork``, ``map`` degrades to an in-process loop over
   the *same* task wrapper, so the serial and parallel code paths cannot
   drift apart.
 
-The worker function must be picklable (defined at module level) for the
-process-pool path; the serial fallback accepts any callable. Worker counts
-come from the explicit argument, else the ``REPRO_WORKERS`` environment
-variable, else 1 (see :func:`resolve_workers`).
+Workers are forked, so ``fn`` is inherited rather than pickled and may be
+any callable, closures included; only items and results cross the pipe,
+so those must be picklable. Worker counts come from the explicit
+argument, else the ``REPRO_WORKERS`` environment variable, else 1 (see
+:func:`resolve_workers`).
 """
 
 from __future__ import annotations
@@ -47,24 +45,18 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import time
-import traceback
 from collections import deque
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..obs import current
-from ..resilience import RetryPolicy
+from .supervisor import TICK, Child, ChildDown, ChildHung, answer
 
 __all__ = ["ParallelExecutor", "ParallelExecutionError", "resolve_workers",
            "task_seeds"]
 
 _WORKERS_ENV = "REPRO_WORKERS"
-
-# Parent poll interval while waiting for results; bounds how stale the
-# liveness/deadline checks can be, so a hung worker is detected within
-# roughly `timeout + _TICK` seconds.
-_TICK = 0.05
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -116,95 +108,6 @@ class ParallelExecutionError(RuntimeError):
             f"worker traceback:\n{remote_traceback}")
 
 
-def _worker_init() -> None:
-    """Reset observability in forked workers.
-
-    A forked child inherits the parent's activation stack — including any
-    JSONL sink's open file descriptor; letting every worker append to the
-    parent's run log would interleave writes. Workers therefore run under
-    the shared no-op observer; telemetry for parallel work is emitted from
-    the parent around the map (the serial fallback, which runs in-process,
-    keeps full ambient observability).
-    """
-    from ..obs.observer import _ACTIVE, NULL_OBSERVER
-
-    _ACTIVE[:] = [NULL_OBSERVER]
-
-
-def _run_chunk(fn: Callable, chunk: list) -> tuple[bool, object]:
-    """Run one chunk of items; never raises across the process boundary."""
-    try:
-        return True, [fn(item) for item in chunk]
-    except BaseException:  # noqa: BLE001 — serialised and re-raised in parent
-        return False, traceback.format_exc()
-
-
-def _worker_main(fn: Callable, inbox, result_conn) -> None:
-    """Worker loop: pull ``(chunk_index, chunk)`` tasks until the sentinel.
-
-    Results go back over this worker's *private* pipe, synchronously from
-    this thread. That matters for fault containment: the pipe has exactly
-    one writer, so no shared lock exists that a killed worker could leave
-    held (``multiprocessing.Queue``'s background feeder thread would — a
-    task calling ``os._exit`` can strand the queue's write-lock and
-    deadlock every sibling's results).
-    """
-    _worker_init()
-    while True:
-        task = inbox.get()
-        if task is None:
-            return
-        index, chunk = task
-        ok, payload = _run_chunk(fn, chunk)
-        result_conn.send((index, ok, payload))
-
-
-class _SeededTask:
-    """Picklable wrapper calling ``fn(item, seed)`` for map_seeded."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def __call__(self, pair):
-        item, seed = pair
-        return self.fn(item, seed)
-
-
-class _WorkerHandle:
-    """One managed worker: process, private task inbox, private result pipe."""
-
-    __slots__ = ("process", "inbox", "reader")
-
-    def __init__(self, process, inbox, reader):
-        self.process = process
-        self.inbox = inbox
-        self.reader = reader
-
-    def stop(self, *, force: bool = False) -> None:
-        """Best-effort shutdown: sentinel first, escalation if needed.
-
-        The result pipe is closed unread — a worker terminated mid-send
-        leaves a partial frame, and abandoning the pipe (rather than ever
-        calling ``recv`` on it) is what keeps that from blocking anyone.
-        """
-        if self.process.is_alive() and not force:
-            try:
-                self.inbox.put(None)
-            except (OSError, ValueError):
-                pass
-            self.process.join(timeout=0.5)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=0.5)
-        if self.process.is_alive():  # pragma: no cover — terminate refused
-            self.process.kill()
-            self.process.join(timeout=0.5)
-        try:
-            self.reader.close()
-        except OSError:  # pragma: no cover — already closed
-            pass
-
-
 class ParallelExecutor:
     """Order-preserving map over a process pool (or serially, identically).
 
@@ -228,11 +131,6 @@ class ParallelExecutor:
     max_pool_failures:
         Process-level failures (deaths + hangs) tolerated before the
         executor degrades to completing the remaining chunks serially.
-    backoff:
-        Optional :class:`repro.resilience.RetryPolicy` used purely for its
-        deterministic backoff schedule between resubmissions of a failed
-        chunk (attempt counting stays with the executor). Default: no
-        delay.
 
     Examples
     --------
@@ -243,8 +141,7 @@ class ParallelExecutor:
 
     def __init__(self, workers: int | None = None, *,
                  chunk_size: int | None = None, retries: int = 1,
-                 timeout: float | None = None, max_pool_failures: int = 3,
-                 backoff: RetryPolicy | None = None):
+                 timeout: float | None = None, max_pool_failures: int = 3):
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if timeout is not None and timeout <= 0:
@@ -256,7 +153,6 @@ class ParallelExecutor:
         self.retries = retries
         self.timeout = timeout
         self.max_pool_failures = max_pool_failures
-        self.backoff = backoff
 
     # ------------------------------------------------------------------
     @property
@@ -272,6 +168,10 @@ class ParallelExecutor:
         in-process loop sharing the retry/error handling of the pool path.
         """
         items = list(items)
+
+        def run(chunk: list) -> list:
+            return [fn(item) for item in chunk]
+
         obs = current()
         obs.set_gauge("runtime/workers", self.workers)
         with obs.span("runtime/map"):
@@ -279,8 +179,9 @@ class ParallelExecutor:
             if not items:
                 return []
             if not self.parallel or len(items) == 1:
-                return self._map_serial(fn, items)
-            return self._map_pool(fn, items)
+                return [self._run_chunk_serially(run, [item], index, 0)[0]
+                        for index, item in enumerate(items)]
+            return self._map_pool(run, items)
 
     def map_seeded(self, fn: Callable, items: Sequence, base_seed: int) -> list:
         """``fn(item, seed)`` per item with deterministic per-task seeds.
@@ -289,50 +190,29 @@ class ParallelExecutor:
         :func:`task_seeds` for the derivation contract.
         """
         items = list(items)
-        pairs = list(zip(items, task_seeds(base_seed, len(items))))
-        return self.map(_SeededTask(fn), pairs)
+        pairs = zip(items, task_seeds(base_seed, len(items)))
+        return self.map(lambda pair: fn(*pair), pairs)
 
     # ------------------------------------------------------------------
-    def _pause_before_retry(self, attempt: int) -> None:
-        """Deterministic backoff between chunk attempts (off by default)."""
-        if self.backoff is None:
-            return
-        pause = self.backoff.delay(attempt)
-        if pause > 0:
-            self.backoff.sleep(pause)
+    def _run_chunk_serially(self, run: Callable, chunk: list, first: int,
+                            first_attempt: int) -> list:
+        """Finish one chunk in-process, honouring its remaining attempts.
 
-    def _map_serial(self, fn: Callable, items: list) -> list:
-        results = []
-        for index, item in enumerate(items):
-            for attempt in range(self.retries + 1):
-                ok, payload = _run_chunk(fn, [item])
-                if ok:
-                    results.append(payload[0])
-                    break
-                current().increment("runtime/retries")
-                if attempt == self.retries:
-                    raise ParallelExecutionError(index, attempt + 1, payload)
-                self._pause_before_retry(attempt)
-        return results
-
-    def _run_chunk_serially(self, fn: Callable, chunks: list, index: int,
-                            chunk_size: int, first_attempt: int) -> list:
-        """Finish one chunk in-process, honouring its remaining attempts."""
+        ``first`` is the index of the chunk's first item, for the error.
+        """
         for attempt in range(first_attempt, self.retries + 1):
-            ok, payload = _run_chunk(fn, chunks[index])
+            ok, payload = answer(run, chunk)
             if ok:
                 return payload
             current().increment("runtime/retries")
             if attempt == self.retries:
-                raise ParallelExecutionError(
-                    index * chunk_size, attempt + 1, payload)
-            self._pause_before_retry(attempt)
+                raise ParallelExecutionError(first, attempt + 1, payload)
         raise AssertionError("unreachable")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    # Self-managed worker pool
+    # Supervised worker pool
     # ------------------------------------------------------------------
-    def _map_pool(self, fn: Callable, items: list) -> list:
+    def _map_pool(self, run: Callable, items: list) -> list:
         obs = current()
         chunk_size = self.chunk_size
         if chunk_size is None:
@@ -340,16 +220,14 @@ class ParallelExecutor:
         chunks = [items[start:start + chunk_size]
                   for start in range(0, len(items), chunk_size)]
         results: list = [None] * len(chunks)
-        done = [False] * len(chunks)
         completed = 0
         # (chunk_index, attempt) queue; failed chunks rejoin at the front so
         # stragglers retry before fresh work piles on.
         pending: deque[tuple[int, int]] = deque(
             (i, 0) for i in range(len(chunks)))
 
-        context = multiprocessing.get_context("fork")
         worker_ids = itertools.count()
-        workers: dict[int, _WorkerHandle] = {}
+        workers: dict[int, Child] = {}
         # worker_id -> (chunk_index, attempt, deadline | None)
         outstanding: dict[int, tuple[int, int, float | None]] = {}
         pool_failures = 0
@@ -357,92 +235,47 @@ class ParallelExecutor:
 
         def spawn_worker() -> None:
             worker_id = next(worker_ids)
-            inbox = context.SimpleQueue()
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_worker_main, args=(fn, inbox, writer),
-                name=f"repro-worker-{worker_id}", daemon=True)
-            process.start()
-            writer.close()  # the child keeps its copy; ours would mask EOF
-            workers[worker_id] = _WorkerHandle(process, inbox, reader)
+            workers[worker_id] = Child(lambda: run,
+                                       name=f"repro-worker-{worker_id}")
 
         def retire_worker(worker_id: int, *, force: bool) -> None:
-            handle = workers.pop(worker_id)
             outstanding.pop(worker_id, None)
-            handle.stop(force=force)
+            workers.pop(worker_id).stop(force=force)
+
+        def fail_attempt(index: int, attempt: int, description: str) -> None:
+            """Resubmit a failed chunk, or raise once its budget is spent."""
+            obs.increment("runtime/retries")
+            if attempt >= self.retries:
+                raise ParallelExecutionError(
+                    index * chunk_size, attempt + 1, description)
+            pending.appendleft((index, attempt + 1))
 
         def handle_pool_failure(worker_id: int, counter: str,
-                                description: str) -> None:
+                                error: ChildDown) -> None:
             """A worker died or hung mid-chunk: contain, count, resubmit."""
             nonlocal pool_failures, degraded
             index, attempt, _ = outstanding[worker_id]
             retire_worker(worker_id, force=True)
             pool_failures += 1
             obs.increment(counter)
-            obs.increment("runtime/retries")
-            if attempt >= self.retries:
-                raise ParallelExecutionError(
-                    index * chunk_size, attempt + 1, description)
-            self._pause_before_retry(attempt)
-            pending.appendleft((index, attempt + 1))
+            fail_attempt(index, attempt, f"chunk {index}: {error}")
             if pool_failures >= self.max_pool_failures:
                 degraded = True
             else:
                 spawn_worker()
 
-        def check_workers() -> None:
-            now = time.monotonic()
-            for worker_id in list(outstanding):
-                index, _, deadline = outstanding[worker_id]
-                process = workers[worker_id].process
-                if not process.is_alive():
-                    handle_pool_failure(
-                        worker_id, "resilience/worker_deaths",
-                        f"worker process for chunk {index} died with "
-                        f"exitcode {process.exitcode} before returning a "
-                        f"result")
-                elif deadline is not None and now > deadline:
-                    handle_pool_failure(
-                        worker_id, "resilience/hung_workers",
-                        f"worker process for chunk {index} exceeded the "
-                        f"{self.timeout}s per-chunk timeout and was "
-                        f"terminated")
-
-        def accept_result(worker_id: int, index: int, ok: bool,
-                          payload) -> None:
-            nonlocal completed
-            entry = outstanding.pop(worker_id, None)
-            if done[index] or entry is None:
-                # Retired workers' pipes are never read, so this is purely
-                # defensive: nothing to record, nothing to double-count.
-                return
-            if ok:
-                results[index] = payload
-                done[index] = True
-                completed += 1
-                return
-            attempt = entry[1]
-            obs.increment("runtime/retries")
-            if attempt >= self.retries:
-                raise ParallelExecutionError(
-                    index * chunk_size, attempt + 1, payload)
-            self._pause_before_retry(attempt)
-            pending.appendleft((index, attempt + 1))
-
         try:
             for _ in range(min(self.workers, len(chunks))):
                 spawn_worker()
             while completed < len(chunks) and not degraded:
-                # Dispatch to idle workers.
                 idle = [wid for wid in workers if wid not in outstanding]
                 for worker_id in idle:
                     if not pending:
                         break
                     index, attempt = pending.popleft()
                     try:
-                        workers[worker_id].inbox.put((index, chunks[index]))
-                    except (OSError, ValueError):
-                        # Inbox pipe already broken — treat as a dead worker.
+                        workers[worker_id].send(chunks[index])
+                    except ChildDown:
                         pending.appendleft((index, attempt))
                         retire_worker(worker_id, force=True)
                         spawn_worker()
@@ -450,29 +283,29 @@ class ParallelExecutor:
                     deadline = None if self.timeout is None \
                         else time.monotonic() + self.timeout
                     outstanding[worker_id] = (index, attempt, deadline)
-                # Collect whatever results are ready (or time out and run
-                # health checks). Only *live* workers' pipes are waited on;
-                # a retired worker's pipe may hold a partial frame and is
-                # never touched again.
-                readers = {handle.reader: wid
-                           for wid, handle in workers.items()}
-                ready = multiprocessing.connection.wait(
-                    list(readers), timeout=_TICK)
-                if not ready:
-                    check_workers()
-                    continue
-                for conn in ready:
-                    worker_id = readers[conn]
-                    if worker_id not in workers:
-                        continue  # retired earlier in this same batch
+                multiprocessing.connection.wait(
+                    [workers[wid].conn for wid in outstanding], timeout=TICK)
+                for worker_id, (index, attempt, deadline) in list(
+                        outstanding.items()):
                     try:
-                        index, ok, payload = conn.recv()
-                    except (EOFError, OSError):
-                        # The worker died with nothing (complete) to read;
-                        # check_workers attributes and handles the death.
-                        check_workers()
+                        reply = workers[worker_id].poll(deadline)
+                    except ChildHung as error:
+                        handle_pool_failure(
+                            worker_id, "resilience/hung_workers", error)
                         continue
-                    accept_result(worker_id, index, ok, payload)
+                    except ChildDown as error:
+                        handle_pool_failure(
+                            worker_id, "resilience/worker_deaths", error)
+                        continue
+                    if reply is None:
+                        continue
+                    del outstanding[worker_id]
+                    ok, payload = reply
+                    if ok:
+                        results[index] = payload
+                        completed += 1
+                    else:
+                        fail_attempt(index, attempt, payload)
             if degraded:
                 # The pool has failed too often to be trusted; reclaim every
                 # in-flight chunk and finish the job in-process. Results are
@@ -480,20 +313,14 @@ class ParallelExecutor:
                 # all-parallel (or all-serial) run.
                 obs.increment("resilience/serial_degradations")
                 obs.set_gauge("runtime/degraded", 1)
+                pending.extendleft(entry[:2] for entry in outstanding.values())
                 for worker_id in list(workers):
-                    entry = outstanding.get(worker_id)
-                    if entry is not None:
-                        pending.appendleft((entry[0], entry[1]))
                     retire_worker(worker_id, force=True)
                 while pending:
                     index, attempt = pending.popleft()
-                    if done[index]:
-                        continue
                     results[index] = self._run_chunk_serially(
-                        fn, chunks, index, chunk_size, attempt)
-                    done[index] = True
-                    completed += 1
+                        run, chunks[index], index * chunk_size, attempt)
         finally:
             for worker_id in list(workers):
-                retire_worker(worker_id, force=False)
+                retire_worker(worker_id, force=worker_id in outstanding)
         return [value for chunk in results for value in chunk]

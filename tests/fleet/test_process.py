@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.fleet import FleetRouter, ProcessReplica, WorkerDownError
 from repro.runtime import fork_available
-from repro.validate.faults import KillWorkerOnce, chaos_enabled
+from repro.validate.faults import (
+    HangWorkerOnce,
+    KillWorkerOnce,
+    chaos_enabled,
+)
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="process replicas need the fork start method")
@@ -53,6 +59,29 @@ def test_close_is_graceful_and_idempotent(checkpoint, corpus):
     replica.close()
     replica.close()
     assert not replica.alive
+
+
+def test_timed_out_replica_is_terminated_not_left_to_reply_late(
+        tmp_path, checkpoint, corpus, reference):
+    """A reply that misses ``response_timeout`` must never answer a later
+    request: the hung child is terminated and the replica reads as down,
+    so the next batch fails over instead of reading the stale rows."""
+    hung = ProcessReplica("p0", checkpoint, version="m-v1",
+                          response_timeout=0.5,
+                          fault=HangWorkerOnce(tmp_path / "hung", item=0,
+                                               seconds=2.0))
+    steady = ProcessReplica("p1", checkpoint, version="m-v1",
+                            response_timeout=30.0)
+    with FleetRouter([hung, steady]) as router:
+        router.stats()  # both children are up and answering
+        started = time.monotonic()
+        with pytest.raises(WorkerDownError):
+            hung.embed_items(corpus[:3])
+        assert time.monotonic() - started < 0.5 + 1.0
+        assert not hung.alive
+        result = router.embed_detailed(corpus[3:7])
+        assert np.array_equal(result.embeddings, reference[3:7])
+        assert set(result.workers) == {"p1"}
 
 
 @pytest.mark.skipif(not chaos_enabled(),
