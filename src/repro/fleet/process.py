@@ -12,13 +12,20 @@ failover path consumes, so a real process death drains onto the
 surviving shards the same way an in-process ``kill()`` does.
 
 The child is a :class:`repro.runtime.supervisor.Child`, the same
-supervised process the executor pool uses. Every request is bounded by
-``response_timeout``: a child that misses it is terminated and the
+supervised process the executor pool uses. Every round trip is bounded
+by ``response_timeout``: a child that misses it is terminated and the
 replica reads as down, so a late reply can never be mistaken for the
 answer to the next request.
 
+Requests are digest-first. ``embed_items`` sends only the digests; a
+child that holds every row in the slot each digest routes to serves them
+at once. Otherwise it replies with the missing indices (touching no LRU
+entry and no counter) and the parent resends, carrying graphs for those
+indices only — counted under ``resends``. A hot request therefore never
+pickles a graph.
+
 Chaos hook: ``fault`` is a callable invoked in the child with
-the running request ordinal before each embed —
+the running request ordinal before each embed request —
 :class:`repro.validate.faults.KillWorkerOnce` drops straight in to kill
 the replica on request *k* exactly once per marker file.
 
@@ -58,10 +65,17 @@ def _replica_handler(worker_id: str, checkpoint, version: str,
         nonlocal requests
         kind, *payload = message
         if kind == "embed":
-            requests += 1
-            if fault is not None:
-                fault(requests - 1)
-            return worker.embed_items(payload[0])
+            digests, graphs = payload
+            if graphs is None:  # the digest-only first trip
+                requests += 1
+                if fault is not None:
+                    fault(requests - 1)
+                missing = worker.missing(digests)
+                if missing:
+                    return missing
+                graphs = {}
+            return worker.embed_items(
+                [(digest, graphs.get(i)) for i, digest in enumerate(digests)])
         if kind == "stats":
             return worker.stats()
         if kind == "canary":
@@ -130,6 +144,7 @@ class ProcessReplica:
             name=f"fleet-{worker_id}")
         self.canary_version: str | None = None
         self.canary_slice = 0.0
+        self.resends = 0
         self._child = Child(
             lambda: _replica_handler(worker_id, checkpoint, version,
                                      cache_size, max_batch_size, fault),
@@ -168,7 +183,14 @@ class ProcessReplica:
 
     # ------------------------------------------------------------------
     def embed_items(self, items):
-        return self._request("embed", items)
+        """Digest-first: graphs cross the pipe only for the child's misses."""
+        digests = [digest for digest, _ in items]
+        reply = self._request("embed", digests, None)
+        if isinstance(reply, list):  # indices the child holds no row for
+            self.resends += 1
+            reply = self._request("embed", digests,
+                                  {i: items[i][1] for i in reply})
+        return reply
 
     def stats(self) -> dict:
         """Child-side worker stats; a down replica reports a dead stub."""
@@ -178,6 +200,7 @@ class ProcessReplica:
                 "alive": False, "version": self.version,
                 "canary_version": self.canary_version,
                 "canary_slice": self.canary_slice, "served": 0,
+                "resends": self.resends,
                 "canary_fallbacks": 0, "breaker": self.breaker.stats(),
                 "service": {
                     "cache": {"size": 0, "capacity": 0, "hits": 0,
@@ -198,6 +221,7 @@ class ProcessReplica:
         stats = self._request("stats")
         stats["backend"] = self.backend
         stats["breaker"] = self.breaker.stats()
+        stats["resends"] = self.resends
         return stats
 
     # ------------------------------------------------------------------

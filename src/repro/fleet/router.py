@@ -266,8 +266,9 @@ class FleetRouter:
         The fleet half of an incremental refresh: after a model swap,
         only the digests whose source graphs changed are dropped
         (``fleet/invalidated``), so unchanged graphs keep serving warm.
-        Replicas without an ``invalidate`` surface (process replicas from
-        older deployments) are skipped.
+        Replicas without an ``invalidate`` surface are skipped; no
+        :class:`~repro.fleet.ProcessReplica` has one, so its superseded
+        rows stay cached until LRU eviction.
         """
         digests = list(digests)
         removed = 0
@@ -335,6 +336,7 @@ class FleetRouter:
             "failover": int(self.telemetry.count("failover")),
             "worker_errors": int(self.telemetry.count("worker_errors")),
             "exhausted": int(self.telemetry.count("exhausted")),
+            "resends": sum(w.get("resends", 0) for w in per_worker),
             "promotions": int(self.telemetry.count("promotions")),
             "rollbacks": int(self.telemetry.count("rollbacks")),
             "cache": {

@@ -184,10 +184,19 @@ class FleetWorker:
     def version_for(self, digest: str) -> str:
         return self.slot_for(digest).version
 
+    def missing(self, digests) -> list[int]:
+        """Indices of ``digests`` not cached in the slot each routes to.
+
+        A pure check: it moves no LRU entry and counts nothing, so asking
+        before serving leaves the stats as if only the request ran.
+        """
+        return [i for i, digest in enumerate(digests)
+                if digest not in self.slot_for(digest).service]
+
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def embed_items(self, items: list[tuple[str, Graph]]
+    def embed_items(self, items: list[tuple[str, Graph | None]]
                     ) -> tuple[list[np.ndarray], list[str]]:
         """Embed ``(digest, graph)`` pairs; returns aligned rows + versions.
 
@@ -197,6 +206,9 @@ class FleetWorker:
         worker's ``canary_fallbacks`` counter). Stable-slot failures
         propagate — the router records them against this replica's
         breaker and fails the items over to the next shard.
+
+        The digests are passed to the services, never recomputed; a
+        graph may be ``None`` when its digest is cached in its slot.
         """
         if not self._alive:
             raise WorkerDownError(f"worker {self.worker_id!r} is down")
@@ -209,9 +221,8 @@ class FleetWorker:
             else:
                 canary_idx.append(i)
         if canary_idx:
-            graphs = [items[i][1] for i in canary_idx]
             try:
-                canary_rows = self.canary.service.embed(graphs)
+                canary_rows = self._embed_slot(self.canary, items, canary_idx)
             except Exception:
                 # Contain the canary: serve these items from stable and
                 # let the telemetry (not the caller) carry the bad news.
@@ -222,13 +233,17 @@ class FleetWorker:
                     rows[i] = row
                     versions[i] = self.canary.version
         if stable_idx:
-            stable_rows = self.stable.service.embed(
-                [items[i][1] for i in stable_idx])
+            stable_rows = self._embed_slot(self.stable, items, stable_idx)
             for i, row in zip(stable_idx, stable_rows):
                 rows[i] = row
                 versions[i] = self.stable.version
         self.telemetry.increment("served", len(items))
         return rows, versions  # type: ignore[return-value]
+
+    @staticmethod
+    def _embed_slot(slot: ModelSlot, items, indices) -> np.ndarray:
+        return slot.service.embed([items[i][1] for i in indices],
+                                  digests=[items[i][0] for i in indices])
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -63,6 +64,12 @@ from .telemetry import Telemetry
 __all__ = ["EmbeddingService", "PendingEmbedding", "graph_digest"]
 
 
+@lru_cache(maxsize=32)
+def _dtype_tag(dtype: np.dtype) -> bytes:
+    # ``str(dtype)`` costs more than hashing a small graph's bytes.
+    return str(dtype).encode()
+
+
 def graph_digest(graph: Graph) -> str:
     """Content hash of a graph's structure + features (labels excluded).
 
@@ -74,7 +81,7 @@ def graph_digest(graph: Graph) -> str:
     for tag, array in ((b"x", graph.x), (b"e", graph.edge_index)):
         digest.update(tag)
         digest.update(str(array.shape).encode())
-        digest.update(str(array.dtype).encode())
+        digest.update(_dtype_tag(array.dtype))
         digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
 
@@ -205,6 +212,10 @@ class EmbeddingService:
     def cache_len(self) -> int:
         return len(self._cache)
 
+    def __contains__(self, digest: str) -> bool:
+        """Whether ``digest`` has a cached row (no LRU touch, no counter)."""
+        return digest in self._cache
+
     # ------------------------------------------------------------------
     # Encoder hot path
     # ------------------------------------------------------------------
@@ -260,12 +271,18 @@ class EmbeddingService:
     # ------------------------------------------------------------------
     # Request API
     # ------------------------------------------------------------------
-    def embed(self, graphs: Iterable[Graph] | Graph) -> np.ndarray:
+    def embed(self, graphs: Iterable[Graph] | Graph,
+              digests: Iterable[str] | None = None) -> np.ndarray:
         """Embeddings for ``graphs`` (one row per graph, request order).
 
         Cache misses — deduplicated within the request — are embedded in
         chunks of ``max_batch_size``; hits cost a dict lookup. The returned
         array is freshly allocated and safe to mutate.
+
+        ``digests`` are the graphs' :func:`graph_digest` values when the
+        caller already has them (they are not recomputed). A graph may
+        then be ``None`` if its digest is cached; a ``None`` graph whose
+        digest misses raises :class:`KeyError`.
 
         With ``deadline_seconds`` configured the request runs under a
         :class:`~repro.resilience.Deadline`; with the circuit breaker
@@ -277,17 +294,26 @@ class EmbeddingService:
         graphs = list(graphs)
         if not graphs:
             raise ValueError("embed() requires at least one graph")
+        if digests is not None:
+            digests = list(digests)
+            if len(digests) != len(graphs):
+                raise ValueError(f"{len(digests)} digests for "
+                                 f"{len(graphs)} graphs")
         deadline = Deadline(self.deadline_seconds) \
             if self.deadline_seconds is not None else None
         with current().span("serve/embed"), \
                 self.telemetry.timer("embed_seconds"):
             self.telemetry.increment("requests")
-            digests = [graph_digest(graph) for graph in graphs]
+            if digests is None:
+                digests = [graph_digest(graph) for graph in graphs]
             rows: list[np.ndarray | None] = [None] * len(graphs)
             misses: OrderedDict[str, Graph] = OrderedDict()
             for i, (digest, graph) in enumerate(zip(digests, graphs)):
                 row = self._cache_get(digest)
                 if row is None:
+                    if graph is None:
+                        raise KeyError(f"digest {digest[:12]} is not cached "
+                                       f"and no graph was sent for it")
                     self.telemetry.increment("cache_misses")
                     misses.setdefault(digest, graph)
                 else:

@@ -8,6 +8,7 @@ from _helpers import make_path, make_triangle
 
 from repro.eval import embed_dataset
 from repro.gnn import GNNEncoder
+from repro.graph import Graph
 from repro.serve import EmbeddingService, graph_digest
 
 
@@ -38,6 +39,33 @@ def test_digest_ignores_labels_but_not_content(rng):
     other = g.copy()
     other.x = g.x + 1.0
     assert graph_digest(g) != graph_digest(other)
+
+
+def test_digest_is_pinned_for_both_dtype_pairs():
+    """Stored manifests hold these digests, so the hash must never move."""
+    g = Graph(np.arange(6).reshape(3, 2) / 4,
+              np.array([[0, 1, 1, 2], [1, 0, 2, 1]]))
+    assert (g.x.dtype, g.edge_index.dtype) == (np.float64, np.int64)
+    assert graph_digest(g) == ("1467c604993c6ed3db8a09e232420fcf"
+                               "7ca9a14fd6ec3f4cbd65e2effa9aa168")
+    g.x = g.x.astype(np.float32)
+    g.edge_index = g.edge_index.astype(np.int32)
+    assert graph_digest(g) == ("c4e016efb0e06cf0064f6a52bde37841"
+                               "388b78e8c60299dc59fcfa6d1431818c")
+
+
+def test_given_digests_are_used_and_cached_graphs_may_be_omitted(
+        service, graphs):
+    digests = [graph_digest(g) for g in graphs[:3]]
+    first = service.embed(graphs[:3], digests=digests)
+    assert np.array_equal(first, service.embed(graphs[:3]))
+    again = service.embed([None, graphs[1], None], digests=digests)
+    assert np.array_equal(again, first)
+    assert digests[0] in service and graph_digest(graphs[4]) not in service
+    with pytest.raises(KeyError, match="no graph was sent"):
+        service.embed([None], digests=[graph_digest(graphs[4])])
+    with pytest.raises(ValueError, match="2 digests for 3 graphs"):
+        service.embed(graphs[:3], digests=digests[:2])
 
 
 # ----------------------------------------------------------------------
