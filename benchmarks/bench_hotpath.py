@@ -59,9 +59,6 @@ def _write_payload(payload: dict) -> None:
     with atomic_write(out) as tmp:
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
-    from repro.bench import save_results
-
-    save_results("hotpath", payload)
 
 
 def test_hotpath_baseline(benchmark):

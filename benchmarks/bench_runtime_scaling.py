@@ -11,7 +11,7 @@ Measures the two fan-out paths ISSUE 3 parallelised:
 Each workload runs with ``workers=1`` and ``workers=2`` and asserts the
 results stay bit-identical; wall times and speedups go to
 ``BENCH_runtime.json`` at the repo root (the start of the perf
-trajectory) and to ``results/runtime_scaling.json``.
+trajectory).
 
 On single-core CI hardware a ≥1× speedup is *not* expected — two workers
 time-slice one core and pay fork + pickle overhead on top. The JSON
@@ -127,9 +127,6 @@ def _write_payload(payload: dict) -> None:
     with atomic_write(out) as tmp:
         tmp.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
-    from repro.bench import save_results
-
-    save_results("runtime_scaling", payload)
 
 
 def test_runtime_scaling(benchmark, scale):

@@ -121,9 +121,6 @@ def _write_payload(payload: dict) -> None:
     with atomic_write(out) as tmp:
         tmp.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
-    from repro.bench import save_results
-
-    save_results("sampling", payload)
 
 
 def test_sampling(benchmark, scale):

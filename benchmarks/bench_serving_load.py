@@ -265,9 +265,6 @@ def _write_payload(payload: dict) -> None:
     with atomic_write(out) as tmp:
         tmp.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
-    from repro.bench import save_results
-
-    save_results("serving_load", payload)
 
 
 def test_serving_load(benchmark, scale):

@@ -61,42 +61,6 @@ def results_dir() -> Path:
 # ----------------------------------------------------------------------
 # Protocol runners
 # ----------------------------------------------------------------------
-class _UnsupervisedSeedJob:
-    """Picklable one-seed cell of the unsupervised protocol.
-
-    The serial and parallel paths of :func:`run_unsupervised` both call
-    this object, so a seed's accuracy depends only on the job parameters
-    and the seed — never on the worker count.
-    """
-
-    def __init__(self, method: str, dataset_name: str, *, scale: float,
-                 node_scale: float, epochs: int, folds: int, classifier: str,
-                 method_overrides: dict | None):
-        self.method = method
-        self.dataset_name = dataset_name
-        self.scale = scale
-        self.node_scale = node_scale
-        self.epochs = epochs
-        self.folds = folds
-        self.classifier = classifier
-        self.method_overrides = method_overrides or {}
-
-    def __call__(self, seed: int) -> float:
-        dataset = load_dataset(self.dataset_name, seed=seed, scale=self.scale,
-                               node_scale=self.node_scale)
-        rng = np.random.default_rng(seed)
-        pretrain_idx, _ = train_test_split(len(dataset), 0.1, rng)
-        model = make_method(self.method, dataset.num_features, seed=seed,
-                            **self.method_overrides)
-        model.pretrain([dataset[i] for i in pretrain_idx],
-                       epochs=self.epochs)
-        embeddings = embed_dataset(model.encoder, dataset)
-        accuracy, _ = cross_validated_accuracy(
-            embeddings, dataset.labels(), k=self.folds,
-            classifier=self.classifier, seed=seed, workers=1)
-        return accuracy
-
-
 def run_unsupervised(method: str, dataset_name: str, *, seeds: list[int],
                      scale: float = 0.05, node_scale: float = 1.0,
                      epochs: int = 5, folds: int = 5,
@@ -117,11 +81,21 @@ def run_unsupervised(method: str, dataset_name: str, *, seeds: list[int],
     """
     from ..runtime import ParallelExecutor
 
-    job = _UnsupervisedSeedJob(
-        method, dataset_name, scale=scale, node_scale=node_scale,
-        epochs=epochs, folds=folds, classifier=classifier,
-        method_overrides=method_overrides)
-    accuracies = ParallelExecutor(workers).map(job, seeds)
+    def cell(seed: int) -> float:
+        dataset = load_dataset(dataset_name, seed=seed, scale=scale,
+                               node_scale=node_scale)
+        rng = np.random.default_rng(seed)
+        pretrain_idx, _ = train_test_split(len(dataset), 0.1, rng)
+        model = make_method(method, dataset.num_features, seed=seed,
+                            **(method_overrides or {}))
+        model.pretrain([dataset[i] for i in pretrain_idx], epochs=epochs)
+        embeddings = embed_dataset(model.encoder, dataset)
+        accuracy, _ = cross_validated_accuracy(
+            embeddings, dataset.labels(), k=folds, classifier=classifier,
+            seed=seed, workers=1)
+        return accuracy
+
+    accuracies = ParallelExecutor(workers).map(cell, seeds)
     scores = []
     for seed, accuracy in zip(seeds, accuracies):
         scores.append(accuracy * 100.0)
@@ -153,34 +127,6 @@ def run_kernel_unsupervised(kernel: str, dataset_name: str, *,
     return mean_std(scores)
 
 
-class _TransferSeedJob:
-    """Picklable one-seed cell of the transfer protocol."""
-
-    def __init__(self, method: str, downstream_name: str, *,
-                 pretrain_scale: float, downstream_scale: float,
-                 pretrain_epochs: int, finetune_epochs: int,
-                 method_overrides: dict | None):
-        self.method = method
-        self.downstream_name = downstream_name
-        self.pretrain_scale = pretrain_scale
-        self.downstream_scale = downstream_scale
-        self.pretrain_epochs = pretrain_epochs
-        self.finetune_epochs = finetune_epochs
-        self.method_overrides = method_overrides or {}
-
-    def __call__(self, seed: int) -> float:
-        corpus = load_dataset("ZINC", seed=seed, scale=self.pretrain_scale)
-        model = make_method(self.method, corpus.num_features, seed=seed,
-                            **self.method_overrides)
-        model.pretrain(corpus.graphs, epochs=self.pretrain_epochs)
-        downstream = load_dataset(self.downstream_name, seed=seed,
-                                  scale=self.downstream_scale)
-        splits = scaffold_split(downstream)
-        rng = np.random.default_rng(seed + 1)
-        return finetune_multitask(model.encoder, downstream, splits,
-                                  epochs=self.finetune_epochs, rng=rng)
-
-
 def run_transfer(method: str, downstream_name: str, *, seeds: list[int],
                  pretrain_scale: float = 0.1, downstream_scale: float = 0.1,
                  pretrain_epochs: int = 3, finetune_epochs: int = 8,
@@ -193,11 +139,19 @@ def run_transfer(method: str, downstream_name: str, *, seeds: list[int],
     """
     from ..runtime import ParallelExecutor
 
-    job = _TransferSeedJob(
-        method, downstream_name, pretrain_scale=pretrain_scale,
-        downstream_scale=downstream_scale, pretrain_epochs=pretrain_epochs,
-        finetune_epochs=finetune_epochs, method_overrides=method_overrides)
-    aucs = ParallelExecutor(workers).map(job, seeds)
+    def cell(seed: int) -> float:
+        corpus = load_dataset("ZINC", seed=seed, scale=pretrain_scale)
+        model = make_method(method, corpus.num_features, seed=seed,
+                            **(method_overrides or {}))
+        model.pretrain(corpus.graphs, epochs=pretrain_epochs)
+        downstream = load_dataset(downstream_name, seed=seed,
+                                  scale=downstream_scale)
+        splits = scaffold_split(downstream)
+        rng = np.random.default_rng(seed + 1)
+        return finetune_multitask(model.encoder, downstream, splits,
+                                  epochs=finetune_epochs, rng=rng)
+
+    aucs = ParallelExecutor(workers).map(cell, seeds)
     scores = []
     for seed, auc in zip(seeds, aucs):
         if not np.isnan(auc):
@@ -206,39 +160,6 @@ def run_transfer(method: str, downstream_name: str, *, seeds: list[int],
                             dataset=downstream_name, seed=seed, roc_auc=auc)
     # A fully degenerate test split (possible at tiny scales) scores chance.
     return mean_std(scores) if scores else (50.0, 0.0)
-
-
-class _SemiSupervisedSeedJob:
-    """Picklable one-seed cell of the semi-supervised protocol."""
-
-    def __init__(self, method: str, dataset_name: str, label_rate: float, *,
-                 scale: float, node_scale: float, pretrain_epochs: int,
-                 finetune_epochs: int, method_overrides: dict | None):
-        self.method = method
-        self.dataset_name = dataset_name
-        self.label_rate = label_rate
-        self.scale = scale
-        self.node_scale = node_scale
-        self.pretrain_epochs = pretrain_epochs
-        self.finetune_epochs = finetune_epochs
-        self.method_overrides = method_overrides or {}
-
-    def __call__(self, seed: int) -> float:
-        dataset = load_dataset(self.dataset_name, seed=seed, scale=self.scale,
-                               node_scale=self.node_scale)
-        rng = np.random.default_rng(seed)
-        train_idx, test_idx = train_test_split(len(dataset), 0.2, rng)
-        model = make_method(self.method, dataset.num_features, seed=seed,
-                            **self.method_overrides)
-        model.pretrain([dataset[i] for i in train_idx],
-                       epochs=self.pretrain_epochs)
-        labels = dataset.labels()
-        labelled_local = label_rate_split(labels[train_idx], self.label_rate,
-                                          rng)
-        labelled_idx = train_idx[labelled_local]
-        return finetune_classifier(model.encoder, dataset, labelled_idx,
-                                   test_idx, epochs=self.finetune_epochs,
-                                   rng=rng)
 
 
 def run_semisupervised(method: str, dataset_name: str, label_rate: float, *,
@@ -254,11 +175,22 @@ def run_semisupervised(method: str, dataset_name: str, label_rate: float, *,
     """
     from ..runtime import ParallelExecutor
 
-    job = _SemiSupervisedSeedJob(
-        method, dataset_name, label_rate, scale=scale, node_scale=node_scale,
-        pretrain_epochs=pretrain_epochs, finetune_epochs=finetune_epochs,
-        method_overrides=method_overrides)
-    accuracies = ParallelExecutor(workers).map(job, seeds)
+    def cell(seed: int) -> float:
+        dataset = load_dataset(dataset_name, seed=seed, scale=scale,
+                               node_scale=node_scale)
+        rng = np.random.default_rng(seed)
+        train_idx, test_idx = train_test_split(len(dataset), 0.2, rng)
+        model = make_method(method, dataset.num_features, seed=seed,
+                            **(method_overrides or {}))
+        model.pretrain([dataset[i] for i in train_idx],
+                       epochs=pretrain_epochs)
+        labels = dataset.labels()
+        labelled_local = label_rate_split(labels[train_idx], label_rate, rng)
+        labelled_idx = train_idx[labelled_local]
+        return finetune_classifier(model.encoder, dataset, labelled_idx,
+                                   test_idx, epochs=finetune_epochs, rng=rng)
+
+    accuracies = ParallelExecutor(workers).map(cell, seeds)
     return mean_std([a * 100.0 for a in accuracies])
 
 

@@ -76,38 +76,6 @@ def _make_classifier(classifier: str, seed: int):
     raise ValueError(f"unknown classifier {classifier!r}")
 
 
-class _CVFoldJob:
-    """Picklable fit-and-score of one CV fold.
-
-    Both the serial and the parallel path of
-    :func:`cross_validated_accuracy` run this exact callable, so the two
-    can never drift numerically; a fold's score depends only on
-    ``(embeddings, labels, fold indices, classifier, seed)``.
-    """
-
-    def __init__(self, embeddings: np.ndarray, labels: np.ndarray,
-                 classifier: str, seed: int):
-        self.embeddings = embeddings
-        self.labels = labels
-        self.classifier = classifier
-        self.seed = seed
-
-    def __call__(self, fold) -> float:
-        train_idx, test_idx = fold
-        # Span name follows the classifier ("eval/svm" or "eval/logreg"),
-        # one span per CV fold, so traces show where protocol time goes
-        # (in worker processes the observer is a no-op; see runtime docs).
-        with current().span(f"eval/{self.classifier}"):
-            embeddings = self.embeddings
-            mu = embeddings[train_idx].mean(axis=0)
-            sigma = embeddings[train_idx].std(axis=0) + 1e-8
-            train_x = (embeddings[train_idx] - mu) / sigma
-            test_x = (embeddings[test_idx] - mu) / sigma
-            model = _make_classifier(self.classifier, self.seed)
-            model.fit(train_x, self.labels[train_idx])
-            return accuracy(self.labels[test_idx], model.predict(test_x))
-
-
 def cross_validated_accuracy(embeddings: np.ndarray, labels: np.ndarray, *,
                              k: int = 10, classifier: str = "svm",
                              seed: int = 0,
@@ -129,8 +97,22 @@ def cross_validated_accuracy(embeddings: np.ndarray, labels: np.ndarray, *,
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     folds = list(stratified_kfold(labels, k, rng))
-    job = _CVFoldJob(embeddings, labels, classifier, seed)
-    fold_scores = ParallelExecutor(workers).map(job, folds)
+
+    def score(fold) -> float:
+        train_idx, test_idx = fold
+        # Span name follows the classifier ("eval/svm" or "eval/logreg"),
+        # one span per CV fold, so traces show where protocol time goes
+        # (in worker processes the observer is a no-op; see runtime docs).
+        with current().span(f"eval/{classifier}"):
+            mu = embeddings[train_idx].mean(axis=0)
+            sigma = embeddings[train_idx].std(axis=0) + 1e-8
+            train_x = (embeddings[train_idx] - mu) / sigma
+            test_x = (embeddings[test_idx] - mu) / sigma
+            model = _make_classifier(classifier, seed)
+            model.fit(train_x, labels[train_idx])
+            return accuracy(labels[test_idx], model.predict(test_x))
+
+    fold_scores = ParallelExecutor(workers).map(score, folds)
     return mean_std(fold_scores)
 
 

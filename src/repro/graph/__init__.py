@@ -1,6 +1,6 @@
 """Graph data substrate: containers, batching, transforms."""
 
-from .graph import Graph
+from .graph import Graph, update_graph_hash
 from .batch import Batch
 from .workspace import MessagePassingWorkspace
 from .transforms import (
@@ -13,6 +13,7 @@ from .transforms import (
 
 __all__ = [
     "Graph",
+    "update_graph_hash",
     "Batch",
     "MessagePassingWorkspace",
     "add_self_loops",

@@ -9,11 +9,31 @@ belong to the planted semantic motif).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "update_graph_hash"]
+
+
+@lru_cache(maxsize=32)
+def _dtype_tag(dtype: np.dtype) -> bytes:
+    # ``str(dtype)`` costs more than hashing a small graph's bytes.
+    return str(dtype).encode()
+
+
+def update_graph_hash(hasher, graph: Graph) -> None:
+    """Feed ``graph``'s features and edges (not labels) to ``hasher``.
+
+    Serving digests, precompute-cache keys and run-manifest fingerprints
+    all hash this layout and are persisted, so it must never change.
+    """
+    for tag, array in ((b"x", graph.x), (b"e", graph.edge_index)):
+        hasher.update(tag)
+        hasher.update(str(array.shape).encode())
+        hasher.update(_dtype_tag(array.dtype))
+        hasher.update(np.ascontiguousarray(array).tobytes())
 
 
 class Graph:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.io import atomic_write
+from ..graph import update_graph_hash
 
 __all__ = ["RunManifest", "dataset_fingerprint", "git_sha"]
 
@@ -33,11 +34,7 @@ def dataset_fingerprint(graphs) -> str:
     """
     digest = hashlib.sha256()
     for graph in graphs:
-        for tag, array in ((b"x", graph.x), (b"e", graph.edge_index)):
-            digest.update(tag)
-            digest.update(str(array.shape).encode())
-            digest.update(str(array.dtype).encode())
-            digest.update(np.ascontiguousarray(array).tobytes())
+        update_graph_hash(digest, graph)
     return digest.hexdigest()[:16]
 
 

@@ -44,10 +44,6 @@ def graph_statics(graph: Graph) -> dict[str, np.ndarray]:
     }
 
 
-def _statics_job(graph: Graph) -> dict[str, np.ndarray]:
-    return graph_statics(graph)
-
-
 def precompute_statics(graphs, *, workers: int | None = None,
                        cache: PrecomputeCache | None = None
                        ) -> list[dict[str, np.ndarray]]:
@@ -56,7 +52,7 @@ def precompute_statics(graphs, *, workers: int | None = None,
     Returns one dict per input graph, in input order. Cache lookups happen
     in the parent (they are cheap I/O); only the misses fan out.
     """
-    return _cached_fan_out(graphs, _STATICS_SPEC, _statics_job,
+    return _cached_fan_out(graphs, _STATICS_SPEC, graph_statics,
                            workers=workers, cache=cache)
 
 
@@ -73,18 +69,6 @@ def generator_spec(generator) -> dict:
     }
 
 
-class _ConstantsJob:
-    """Picklable per-graph K_V computation under a frozen generator."""
-
-    def __init__(self, generator):
-        self.generator = generator
-
-    def __call__(self, graph: Graph) -> dict[str, np.ndarray]:
-        with no_grad():
-            constants = self.generator.node_constants(Batch([graph])).data
-        return {"k_v": np.asarray(constants, dtype=np.float64)}
-
-
 def precompute_node_constants(generator, graphs, *,
                               workers: int | None = None,
                               cache: PrecomputeCache | None = None
@@ -92,13 +76,17 @@ def precompute_node_constants(generator, graphs, *,
     """Per-node ``K_V`` of every graph under the generator's current
     parameters; one 1-D array per graph, in input order.
 
-    The generator is shipped to workers by pickle (a few KB of numpy
-    parameters), each worker computes its graphs' constants independently,
-    and results are reassembled in order — bit-identical to calling
-    ``generator.node_constants(Batch([g]))`` in a loop.
+    Forked workers inherit the generator, each computes its graphs'
+    constants independently, and results are reassembled in order —
+    bit-identical to calling ``generator.node_constants(Batch([g]))`` in a
+    loop.
     """
-    results = _cached_fan_out(graphs, generator_spec(generator),
-                              _ConstantsJob(generator),
+    def constants(graph: Graph) -> dict[str, np.ndarray]:
+        with no_grad():
+            k_v = generator.node_constants(Batch([graph])).data
+        return {"k_v": np.asarray(k_v, dtype=np.float64)}
+
+    results = _cached_fan_out(graphs, generator_spec(generator), constants,
                               workers=workers, cache=cache)
     return [entry["k_v"] for entry in results]
 

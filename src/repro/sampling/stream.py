@@ -38,16 +38,6 @@ from .samplers import SubgraphSampler
 __all__ = ["SubgraphStream"]
 
 
-class _SampleJob:
-    """Picklable ``seed → subgraph`` worker for the process pool."""
-
-    def __init__(self, sampler: SubgraphSampler):
-        self.sampler = sampler
-
-    def __call__(self, seed: int):
-        return self.sampler.sample(seed)
-
-
 def _derive_seed(stream_seed: int, tag: int) -> int:
     """One independent 64-bit seed from ``(stream_seed, tag)``."""
     sequence = np.random.SeedSequence([stream_seed, tag])
@@ -112,8 +102,7 @@ class SubgraphStream:
                 seeds = task_seeds(_derive_seed(self.seed, 0),
                                    self.norm_samples)
                 counts = np.zeros(self.dataset.num_nodes, dtype=np.int64)
-                for graph in self.executor.map(_SampleJob(self.sampler),
-                                               seeds):
+                for graph in self.executor.map(self.sampler.sample, seeds):
                     counts[graph.meta["node_id"]] += 1
             self._node_norms = ((self.norm_samples + 1.0)
                                 / (counts + 1.0))
@@ -124,18 +113,16 @@ class SubgraphStream:
         """Lazily yield epoch ``epoch``'s subgraphs in stream order."""
         seeds = task_seeds(_derive_seed(self.seed, epoch + 1),
                            self.samples_per_epoch)
-        job = _SampleJob(self.sampler)
         for start in range(0, len(seeds), self.batch_size):
-            yield from self.executor.map(job,
-                                         seeds[start:start + self.batch_size])
+            yield from self.executor.map(
+                self.sampler.sample, seeds[start:start + self.batch_size])
 
     def _assemble(self, epoch: int):
         seeds = task_seeds(_derive_seed(self.seed, epoch + 1),
                            self.samples_per_epoch)
-        job = _SampleJob(self.sampler)
         norms = self.node_norms()
         for start in range(0, len(seeds), self.batch_size):
-            graphs = self.executor.map(job,
+            graphs = self.executor.map(self.sampler.sample,
                                        seeds[start:start + self.batch_size])
             batch = Batch(graphs)
             # Per-node loss weights aligned with the batch's node rows.

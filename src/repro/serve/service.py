@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from ..gnn import GNNEncoder
-from ..graph import Batch, Graph
+from ..graph import Batch, Graph, update_graph_hash
 from ..obs import current
 from ..obs.metrics import MetricsRegistry
 from ..resilience import (
@@ -64,12 +63,6 @@ from .telemetry import Telemetry
 __all__ = ["EmbeddingService", "PendingEmbedding", "graph_digest"]
 
 
-@lru_cache(maxsize=32)
-def _dtype_tag(dtype: np.dtype) -> bytes:
-    # ``str(dtype)`` costs more than hashing a small graph's bytes.
-    return str(dtype).encode()
-
-
 def graph_digest(graph: Graph) -> str:
     """Content hash of a graph's structure + features (labels excluded).
 
@@ -78,11 +71,7 @@ def graph_digest(graph: Graph) -> str:
     cached across datasets, folds and requests.
     """
     digest = hashlib.sha256()
-    for tag, array in ((b"x", graph.x), (b"e", graph.edge_index)):
-        digest.update(tag)
-        digest.update(str(array.shape).encode())
-        digest.update(_dtype_tag(array.dtype))
-        digest.update(np.ascontiguousarray(array).tobytes())
+    update_graph_hash(digest, graph)
     return digest.hexdigest()
 
 

@@ -161,14 +161,15 @@ def crash_point(name: str, *, exit_code: int = 9) -> None:
 
 
 class KillWorkerOnce:
-    """Picklable task fn that hard-kills the worker process once.
+    """Task fn that hard-kills the worker process once.
 
     The first call with ``item`` (before the marker file exists) writes
     the marker and calls ``os._exit`` — the worker dies without returning
     a result or running ``finally`` blocks, exactly like an OOM kill.
-    Every other call (including the retry of the same item) computes
-    ``fn``-less identity ``item``, so a recovered map returns the full
-    deterministic result.
+    Every other call (including the retry of the same item) returns its
+    argument unchanged, so a recovered map returns the full deterministic
+    result. The "once" lives in the marker file, not in the object,
+    because each forked worker holds its own copy of it.
     """
 
     def __init__(self, marker: str | Path, item=0, exit_code: int = 9):
@@ -189,7 +190,7 @@ class KillWorkerOnce:
 
 
 class HangWorkerOnce:
-    """Picklable task fn that hangs the worker process once.
+    """Task fn that hangs the worker process once.
 
     The first call with ``item`` writes the marker and sleeps for
     ``seconds`` (default: effectively forever relative to any test

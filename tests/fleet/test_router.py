@@ -102,7 +102,7 @@ def test_revived_worker_takes_its_traffic_back(checkpoint, corpus):
 class _BoomService:
     """Stable-slot stand-in that always raises (breaker fodder)."""
 
-    def embed(self, graphs):
+    def embed(self, graphs, digests=None):
         raise RuntimeError("boom")
 
     def stats(self):
@@ -122,6 +122,10 @@ def test_raising_worker_trips_breaker_and_fails_over(checkpoint, corpus,
     bundle = load_checkpoint(checkpoint)
     good = FleetWorker("good", EmbeddingService(bundle.build_encoder()))
     bad = FleetWorker("bad", _BoomService())
+    # The stub is reached with the digests the router sends, so the
+    # failure is the encoder's, not an argument mismatch.
+    with pytest.raises(RuntimeError, match="^boom$"):
+        bad.embed_items([(graph_digest(g), g) for g in corpus[:2]])
     router = FleetRouter([good, bad])
     for i in range(0, len(corpus), 4):
         out = router.embed(corpus[i:i + 4])

@@ -8,6 +8,8 @@ from repro.core import SGCLConfig
 from repro.data import load_dataset
 from repro.graph import Graph
 from repro.obs import RunManifest, dataset_fingerprint, git_sha
+from repro.runtime import graph_fingerprint
+from repro.serve import graph_digest
 
 
 def _graph(seed: int) -> Graph:
@@ -36,6 +38,20 @@ def test_fingerprint_matches_generated_dataset_identity():
     c = load_dataset("MUTAG", seed=1, scale=0.05)
     assert dataset_fingerprint(a.graphs) == dataset_fingerprint(b.graphs)
     assert dataset_fingerprint(a.graphs) != dataset_fingerprint(c.graphs)
+
+
+def test_fingerprint_is_pinned():
+    """Store manifests, precompute-cache keys and run manifests persist
+    these fingerprints, so the hash must never move."""
+    g = Graph(np.arange(6).reshape(3, 2) / 4,
+              np.array([[0, 1, 1, 2], [1, 0, 2, 1]]))
+    h = Graph(np.arange(6, dtype=np.float32).reshape(2, 3),
+              np.array([[0, 1], [1, 0]], dtype=np.int32))
+    assert dataset_fingerprint([g, h]) == "27ee92d54a0447a6"
+    assert dataset_fingerprint([h, g]) == "4286db9d2f06990b"
+    assert dataset_fingerprint([]) == "e3b0c44298fc1c14"
+    # One graph's fingerprint is a prefix of its serving digest.
+    assert graph_fingerprint(g) == graph_digest(g)[:16] == "1467c604993c6ed3"
 
 
 def test_manifest_round_trip(tmp_path):

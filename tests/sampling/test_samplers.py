@@ -17,7 +17,6 @@ from repro.sampling import (
     load_node_dataset,
     make_sampler,
 )
-from repro.sampling.stream import _SampleJob
 
 SAMPLERS = ["walk", "neighbor", "edge"]
 
@@ -86,7 +85,7 @@ def test_same_seed_bit_identical_sequence(dataset, name):
 
 @pytest.mark.parametrize("name", SAMPLERS)
 def test_serial_vs_parallel_equivalence(dataset, name):
-    job = _SampleJob(make_sampler(name, dataset))
+    job = make_sampler(name, dataset).sample
     seeds = task_seeds(7, 8)
     serial = ParallelExecutor(workers=1).map(job, seeds)
     parallel = ParallelExecutor(workers=2).map(job, seeds)
