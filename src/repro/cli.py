@@ -1085,7 +1085,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--canary-checkpoint", default=None,
                        help="deploy this checkpoint as a canary before "
                             "serving; promoted or rolled back on telemetry "
-                            "after the run")
+                            "after the run (needs 32 requests per slot)")
     serve.add_argument("--canary-slice", type=float, default=None,
                        help="fraction of digest space the canary serves "
                             "(default 0.25)")
