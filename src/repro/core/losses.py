@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Module, l2_normalize
+from ..nn import Module
+from ..nn.functional import edge_likelihood, info_nce
 from ..tensor import Tensor
 
 __all__ = ["semantic_info_nce", "complement_loss", "weight_regularizer",
@@ -54,30 +55,20 @@ def graph_likelihood_loss(reps: Tensor, edge_index: np.ndarray,
     Negatives are drawn by :func:`sample_negative_pairs`, which rejects
     self-pairs and observed edges — naive uniform pairs would label real
     edges as negatives and bias the generator objective. This is the
-    generator tower's training signal.
+    generator tower's training signal, computed by the fused
+    :func:`~repro.nn.functional.edge_likelihood`.
     """
-    from ..tensor import concatenate, gather
-
     num_edges = edge_index.shape[1]
     n = len(reps)
     if num_edges == 0 or n < 2:
         return Tensor(0.0)
-    deg = Tensor(np.maximum(degrees, 1.0).reshape(n, 1))
-    scaled = reps / deg
     src, dst = edge_index
-    positive_logits = (gather(scaled, src) + gather(scaled, dst)) @ edge_weight
     neg_src, neg_dst = sample_negative_pairs(n, num_edges, edge_index, rng)
-    if len(neg_src):
-        negative_logits = (gather(scaled, neg_src)
-                           + gather(scaled, neg_dst)) @ edge_weight
-        logits = concatenate([positive_logits, negative_logits], axis=0)
-        targets = np.concatenate([np.ones(num_edges),
-                                  np.zeros(len(neg_src))])
-    else:  # complete graph: no non-edges exist, fit the positives alone
-        logits = positive_logits
-        targets = np.ones(num_edges)
-    # Stable BCE with logits: softplus(x) − x·y.
-    return (logits.softplus() - logits * Tensor(targets)).mean()
+    # On a complete graph no non-edge exists and the positives stand alone.
+    return edge_likelihood(
+        reps, edge_weight, np.maximum(degrees, 1.0),
+        np.concatenate([src, neg_src]), np.concatenate([dst, neg_dst]),
+        np.concatenate([np.ones(num_edges), np.zeros(len(neg_src))]))
 
 
 def semantic_info_nce(z_anchor: Tensor, z_view: Tensor, tau: float,
@@ -95,24 +86,10 @@ def semantic_info_nce(z_anchor: Tensor, z_view: Tensor, tau: float,
     With ``weights`` (there the GraphSAINT ``α_v``), per-row terms are
     scaled by ``weights / mean(weights)`` — mean-1 within the batch, so
     only the relative sampling bias is corrected, not the loss scale.
+    Fewer than 2 rows, or weights that are non-finite, negative, of the
+    wrong length or zero on average, raise ``ValueError``.
     """
-    n = len(z_anchor)
-    if n < 2:
-        raise ValueError("InfoNCE needs at least 2 rows (graphs or nodes) "
-                         "per batch")
-    sims = (l2_normalize(z_anchor) @ l2_normalize(z_view).T) * (1.0 / tau)
-    eye = np.eye(n, dtype=bool)
-    positives = sims[(np.arange(n), np.arange(n))]
-    # log Σ_{j≠i} exp(s_ij): mask the diagonal with -inf-ish shift.
-    masked = sims + Tensor(np.where(eye, -1e9, 0.0))
-    row_max = Tensor(masked.data.max(axis=1, keepdims=True))
-    log_denominator = ((masked - row_max).exp().sum(axis=1)).log() \
-        + row_max.reshape(n)
-    per_row = log_denominator - positives
-    if weights is not None:
-        scale = np.asarray(weights, dtype=np.float64)
-        per_row = per_row * Tensor(scale / scale.mean())
-    return per_row.mean()
+    return info_nce(z_anchor, z_view, tau, weights=weights)
 
 
 def complement_loss(z_anchor: Tensor, z_view: Tensor,
@@ -122,20 +99,7 @@ def complement_loss(z_anchor: Tensor, z_view: Tensor,
     The non-semantic complement samples ``Ĝ^c`` act as extra negatives:
     ``L_c(G_i) = −log [ exp(s_ii/τ) / (exp(s_ii/τ) + Σ_c exp(sim(G_i, Ĝ^c)/τ)) ]``.
     """
-    n = len(z_anchor)
-    anchors = l2_normalize(z_anchor)
-    positives = ((anchors * l2_normalize(z_view)).sum(axis=1)) * (1.0 / tau)
-    negative_sims = (anchors @ l2_normalize(z_complement).T) * (1.0 / tau)
-    # log(exp(pos) + Σ exp(neg)) via a stable logsumexp over [pos | negs].
-    stacked = Tensor(np.concatenate(
-        [positives.data[:, None], negative_sims.data], axis=1))
-    row_max = stacked.data.max(axis=1, keepdims=True)
-    # Rebuild differentiably: exp(pos − m) + Σ exp(neg − m).
-    m = Tensor(row_max.reshape(n))
-    denominator = (positives - m).exp() \
-        + (negative_sims - Tensor(row_max)).exp().sum(axis=1)
-    log_denominator = denominator.log() + m
-    return (log_denominator - positives).mean()
+    return info_nce(z_anchor, z_view, tau, complement=z_complement)
 
 
 def weight_regularizer(module: Module) -> Tensor:

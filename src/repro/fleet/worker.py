@@ -197,8 +197,12 @@ class FleetWorker:
     # Serving
     # ------------------------------------------------------------------
     def embed_items(self, items: list[tuple[str, Graph | None]]
-                    ) -> tuple[list[np.ndarray], list[str]]:
-        """Embed ``(digest, graph)`` pairs; returns aligned rows + versions.
+                    ) -> tuple[np.ndarray, list[str]]:
+        """Embed ``(digest, graph)`` pairs; returns stacked rows + versions.
+
+        Row ``i`` of the 2-D array and ``versions[i]`` belong to
+        ``items[i]``. One array, not one per row, so a process replica's
+        reply pickles a single buffer.
 
         Digests in the canary slice go to the canary slot; a canary
         failure falls back to the stable slot for those items (the
@@ -212,33 +216,36 @@ class FleetWorker:
         """
         if not self._alive:
             raise WorkerDownError(f"worker {self.worker_id!r} is down")
-        rows: list[np.ndarray | None] = [None] * len(items)
-        versions: list[str | None] = [None] * len(items)
+        if not items:
+            return np.empty((0, 0)), []
         stable_idx, canary_idx = [], []
         for i, (digest, _) in enumerate(items):
             if self.slot_for(digest) is self.stable:
                 stable_idx.append(i)
             else:
                 canary_idx.append(i)
+        served: list[tuple[ModelSlot, list[int], np.ndarray]] = []
         if canary_idx:
             try:
-                canary_rows = self._embed_slot(self.canary, items, canary_idx)
+                served.append((self.canary, canary_idx, self._embed_slot(
+                    self.canary, items, canary_idx)))
             except Exception:
                 # Contain the canary: serve these items from stable and
                 # let the telemetry (not the caller) carry the bad news.
                 self.telemetry.increment("canary_fallbacks", len(canary_idx))
                 stable_idx = sorted(stable_idx + canary_idx)
-            else:
-                for i, row in zip(canary_idx, canary_rows):
-                    rows[i] = row
-                    versions[i] = self.canary.version
         if stable_idx:
-            stable_rows = self._embed_slot(self.stable, items, stable_idx)
-            for i, row in zip(stable_idx, stable_rows):
-                rows[i] = row
-                versions[i] = self.stable.version
+            served.append((self.stable, stable_idx, self._embed_slot(
+                self.stable, items, stable_idx)))
+        first = served[0][2]
+        rows = np.empty((len(items), first.shape[1]), dtype=first.dtype)
+        versions: list[str] = [""] * len(items)
+        for slot, indices, slot_rows in served:
+            rows[indices] = slot_rows
+            for i in indices:
+                versions[i] = slot.version
         self.telemetry.increment("served", len(items))
-        return rows, versions  # type: ignore[return-value]
+        return rows, versions
 
     @staticmethod
     def _embed_slot(slot: ModelSlot, items, indices) -> np.ndarray:

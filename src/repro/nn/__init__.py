@@ -12,11 +12,16 @@ from .layers import (
     Sequential,
 )
 from .functional import (
+    batch_norm,
     binary_cross_entropy_with_logits,
     cosine_similarity_matrix,
     cross_entropy,
+    edge_likelihood,
+    info_nce,
     l2_normalize,
+    linear,
     mse_loss,
+    parameter_norm,
 )
 from .optim import SGD, Adam, Optimizer
 from .schedulers import CosineAnnealingLR, LRScheduler, StepLR, WarmupLR
@@ -38,6 +43,11 @@ __all__ = [
     "mse_loss",
     "l2_normalize",
     "cosine_similarity_matrix",
+    "info_nce",
+    "edge_likelihood",
+    "linear",
+    "batch_norm",
+    "parameter_norm",
     "SGD",
     "Adam",
     "Optimizer",

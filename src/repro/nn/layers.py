@@ -6,6 +6,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from . import init
+from .functional import batch_norm, linear
 from .module import Module, Parameter
 
 __all__ = [
@@ -42,10 +43,7 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class ReLU(Module):
@@ -99,18 +97,14 @@ class BatchNorm1d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training and x.shape[0] > 1:
-            mean = x.mean(axis=0)
-            centered = x - mean
-            var = (centered * centered).mean(axis=0)
+            out, mean, var = batch_norm(x, self.gamma, self.beta, self.eps)
             self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mean.data)
+                                 + self.momentum * mean)
             self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var.data)
-            inv_std = (var + self.eps) ** -0.5
-            normalised = centered * inv_std
-        else:
-            normalised = (x - self.running_mean) * (
-                1.0 / np.sqrt(self.running_var + self.eps))
+                                + self.momentum * var)
+            return out
+        normalised = (x - self.running_mean) * (
+            1.0 / np.sqrt(self.running_var + self.eps))
         return normalised * self.gamma + self.beta
 
 

@@ -7,6 +7,7 @@ from typing import Iterator
 import numpy as np
 
 from ..tensor import Tensor
+from .functional import parameter_norm
 
 __all__ = ["Parameter", "Module"]
 
@@ -152,10 +153,4 @@ class Module:
 
     def weight_norm(self) -> Tensor:
         """L2 norm over all parameters — the paper's Θ_W = ‖W‖ (Eq. 26)."""
-        total = None
-        for param in self.parameters():
-            contribution = (param * param).sum()
-            total = contribution if total is None else total + contribution
-        if total is None:
-            return Tensor(0.0)
-        return (total + 1e-12).sqrt()
+        return parameter_norm(self.parameters())

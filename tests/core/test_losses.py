@@ -83,6 +83,20 @@ def test_info_nce_weights_are_mean_normalised(rng):
     assert skewed != pytest.approx(base)
 
 
+@pytest.mark.parametrize("weights, message", [
+    (np.zeros(4), "zero mean"),
+    (np.array([1.0, np.nan, 1.0, 1.0]), "finite"),
+    (np.array([1.0, np.inf, 1.0, 1.0]), "finite"),
+    (np.array([2.0, -1.0, 1.0, 1.0]), "non-negative"),
+    (np.ones(3), "one entry per row"),
+], ids=["all-zero", "nan", "inf", "negative", "wrong-length"])
+def test_info_nce_rejects_unusable_weights(rng, weights, message):
+    """Such weights used to give NaN or inf with at most a RuntimeWarning."""
+    z = Tensor(rng.normal(size=(4, 3)))
+    with pytest.raises(ValueError, match=message):
+        semantic_info_nce(z, z, tau=0.2, weights=weights)
+
+
 def test_complement_loss_penalises_close_complements(rng):
     anchors = _orthogonal_embeddings(3)
     views = anchors

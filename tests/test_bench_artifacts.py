@@ -72,3 +72,21 @@ def test_bench_hotpath():
     assert payload["attributed_fraction"] >= 0.90, \
         payload["attributed_fraction"]
     assert abs(sum(r["self_share"] for r in payload["rows"]) - 1.0) < 0.02
+
+
+def test_bench_runtime():
+    payload = _load("BENCH_runtime.json")
+    assert payload["bench"] == "runtime_scaling"
+    assert isinstance(payload["cpu_count"], int) and payload["cpu_count"] >= 1
+    assert isinstance(payload["fork_available"], bool)
+    assert isinstance(payload["parallel_viable"], bool)
+    assert payload["note"], "verdict note missing"
+    assert [row["workload"] for row in payload["rows"]] == \
+        ["lipschitz_precompute", "eval_folds"]
+    for row in payload["rows"]:
+        for key in ("workload", "seconds_workers_1", "seconds_workers_2",
+                    "speedup"):
+            assert key in row, f"runtime row missing {key}"
+        assert row["seconds_workers_1"] > 0 and row["seconds_workers_2"] > 0
+        assert abs(row["speedup"] - row["seconds_workers_1"]
+                   / row["seconds_workers_2"]) < 0.01, row
