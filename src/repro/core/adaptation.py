@@ -20,9 +20,9 @@ import numpy as np
 
 from ..data import DataLoader
 from ..graph import Graph
-from ..nn import Adam
 from .losses import graph_likelihood_loss
 from .model import SGCLModel
+from .trainer import ClosureLoop
 
 __all__ = ["adapt_generator"]
 
@@ -34,7 +34,11 @@ def adapt_generator(model: SGCLModel, graphs: Sequence[Graph], *,
 
     Only ``f_q`` and the edge-probability weight receive updates;
     ``f_k``, the projection head and the augmentation-probability head are
-    untouched. Returns the per-epoch mean likelihood losses.
+    untouched. Returns the per-epoch mean likelihood losses. Training runs
+    through :class:`~repro.core.trainer.ClosureLoop` (``epoch`` events
+    tagged ``adapt_generator``), so a NaN/Inf batch is skipped; an epoch
+    with no trained batch — no graphs, or every batch skipped — reports
+    NaN plus a :class:`RuntimeWarning`.
 
     Example
     -------
@@ -45,23 +49,20 @@ def adapt_generator(model: SGCLModel, graphs: Sequence[Graph], *,
     root = np.random.default_rng(seed)
     shuffle_rng = np.random.default_rng(root.integers(2 ** 63))
     negative_rng = np.random.default_rng(root.integers(2 ** 63))
-    parameters = model.generator.encoder.parameters() + [model.edge_weight]
-    optimizer = Adam(parameters, lr=lr)
-    history: list[float] = []
-    for _ in range(epochs):
-        losses = []
-        loader = DataLoader(graphs, batch_size, shuffle=True,
-                            rng=shuffle_rng)
-        for batch in loader:
-            reps = model.generator.node_representations(batch)
-            degrees = np.bincount(batch.edge_index[0],
-                                  minlength=batch.num_nodes).astype(float) \
-                if batch.num_edges else np.zeros(batch.num_nodes)
-            loss = graph_likelihood_loss(reps, batch.edge_index, degrees,
-                                         model.edge_weight, negative_rng)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        history.append(float(np.mean(losses)) if losses else 0.0)
-    return history
+
+    def batch_loss(batch):
+        reps = model.generator.node_representations(batch)
+        degrees = np.bincount(batch.edge_index[0],
+                              minlength=batch.num_nodes).astype(float) \
+            if batch.num_edges else np.zeros(batch.num_nodes)
+        loss = graph_likelihood_loss(reps, batch.edge_index, degrees,
+                                     model.edge_weight, negative_rng)
+        return loss, {"loss": loss.item()}
+
+    loop = ClosureLoop(
+        "adapt_generator",
+        model.generator.encoder.parameters() + [model.edge_weight], lr=lr,
+        epoch_batches=lambda data: DataLoader(data, batch_size, shuffle=True,
+                                              rng=shuffle_rng),
+        batch_loss=batch_loss)
+    return [row["loss"] for row in loop.pretrain(graphs, epochs)]

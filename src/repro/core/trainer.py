@@ -1,5 +1,6 @@
-"""The pre-training loop shared by SGCL, node-level SGCL and every
-baseline, and the SGCL trainer built on it."""
+"""The training loop shared by SGCL, node-level SGCL, every baseline,
+the fine-tunes and generator adaptation, and the SGCL trainer built on
+it."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from ..validate.numerics import NumericsGuard, global_grad_norm
 from .config import SGCLConfig
 from .model import SGCLModel
 
-__all__ = ["PretrainLoop", "SGCLTrainer", "global_grad_norm"]
+__all__ = ["ClosureLoop", "PretrainLoop", "SGCLTrainer", "global_grad_norm"]
 
 
 def summarize_epoch(epoch_stats: dict[str, list[float]]) -> dict[str, float]:
@@ -46,8 +47,10 @@ class PretrainLoop:
     SGCL (:class:`SGCLTrainer`), node-level SGCL
     (:class:`repro.sampling.NodeSGCLTrainer`) and every baseline
     (:class:`repro.baselines.BasePretrainer`) run the same batch → loss →
-    backward → step update. A subclass owns ``optimizer`` and a per-instance
-    ``history`` list, implements :meth:`save_checkpoint`, and supplies:
+    backward → step update, and so do the fine-tune protocols and
+    :func:`repro.core.adapt_generator` (through :class:`ClosureLoop`). A
+    subclass owns ``optimizer`` and a per-instance ``history`` list,
+    implements :meth:`save_checkpoint`, and supplies:
 
     * ``method_name`` — the tag on ``epoch`` events;
     * ``default_epochs`` — what ``pretrain(data)`` runs without ``epochs``;
@@ -212,6 +215,35 @@ class PretrainLoop:
         """
         return self.save_checkpoint(Path(directory) / "emergency.npz",
                                     metadata={"emergency": True})
+
+
+class ClosureLoop(PretrainLoop):
+    """A :class:`PretrainLoop` assembled from closures, for training jobs
+    that own no trainer object: the fine-tune protocols
+    (:mod:`repro.eval.protocol`) and :func:`repro.core.adapt_generator`.
+
+    ``epoch_batches(data)`` and ``batch_loss(batch)`` are the loop's
+    :meth:`~PretrainLoop._epoch_batches` and
+    :meth:`~PretrainLoop._batch_loss`; ``start()``, if given, runs at the
+    top of every ``pretrain`` call. Updates are :class:`~repro.nn.Adam`
+    over ``parameters``, under the guard's default policy (``"skip"``, no
+    clip). It has no ``save_checkpoint`` (so no ``checkpoint_dir``) and no
+    ``default_epochs`` (so ``pretrain`` needs ``epochs``).
+    """
+
+    def __init__(self, method_name: str, parameters, *, lr: float,
+                 epoch_batches, batch_loss, start=None):
+        self.method_name = method_name
+        self.optimizer = Adam(parameters, lr=lr)
+        self.history: list[dict[str, float]] = []
+        self._epoch_batches = epoch_batches
+        self._batch_loss = batch_loss
+        self._start = start
+
+    def _start_training(self) -> tuple[str, float | None]:
+        if self._start is not None:
+            self._start()
+        return "skip", None
 
 
 class SGCLTrainer(PretrainLoop):

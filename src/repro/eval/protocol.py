@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.trainer import ClosureLoop
 from ..data import DataLoader, GraphDataset, stratified_kfold
 from ..gnn import GNNEncoder
-from ..nn import (
-    Adam,
-    Linear,
-    binary_cross_entropy_with_logits,
-    cross_entropy,
-)
+from ..nn import Linear, binary_cross_entropy_with_logits, cross_entropy
 from ..obs import current
 from ..tensor import no_grad
+from ..validate.numerics import NumericsError
 from .linear_model import LogisticRegression
 from .metrics import accuracy, mean_std, multitask_roc_auc
 from .svm import OneVsRestSVC
@@ -119,13 +116,37 @@ def cross_validated_accuracy(embeddings: np.ndarray, labels: np.ndarray, *,
 # ----------------------------------------------------------------------
 # Fine-tuning protocols
 # ----------------------------------------------------------------------
-def _snapshot(*modules):
-    return [m.state_dict() for m in modules]
+def _finetune_loop(method_name, encoder, head, batch_loss, *, lr,
+                   batch_size, rng) -> ClosureLoop:
+    """Encoder + head updates over shuffled minibatches, in train mode."""
+    return ClosureLoop(
+        method_name, encoder.parameters() + head.parameters(), lr=lr,
+        epoch_batches=lambda graphs: DataLoader(graphs, batch_size,
+                                                shuffle=True, rng=rng),
+        batch_loss=batch_loss, start=encoder.train)
 
 
-def _restore(modules, states):
-    for module, state in zip(modules, states):
-        module.load_state_dict(state)
+def _eval_logits(encoder, head, dataset, indices):
+    """Head logits (eval mode, no grad) and float labels of the graphs at
+    ``indices``.
+
+    Non-finite logits raise :class:`NumericsError`: argmax and ROC-AUC
+    would otherwise turn them into a plausible-looking score.
+    """
+    batches = list(DataLoader([dataset[i] for i in indices], 128))
+    encoder.eval()
+    with no_grad():
+        logits = np.concatenate([head(encoder.graph_representations(b)).data
+                                 for b in batches])
+    encoder.train()
+    if not np.isfinite(logits).all():
+        raise NumericsError("non-finite evaluation logits after fine-tuning")
+    return logits, np.concatenate([_float_labels(b) for b in batches])
+
+
+def _float_labels(batch) -> np.ndarray:
+    """Batch labels as float64; NaN marks an unlabelled graph or task."""
+    return np.asarray(batch.labels(), dtype=np.float64)
 
 
 def finetune_multitask(encoder: GNNEncoder, dataset: GraphDataset,
@@ -136,50 +157,43 @@ def finetune_multitask(encoder: GNNEncoder, dataset: GraphDataset,
 
     Returns the test ROC-AUC at the epoch with the best validation ROC-AUC
     (the Hu et al. 2020 protocol the paper follows). The encoder's
-    pre-trained parameters are restored before returning.
+    pre-trained parameters are restored before returning. Training runs
+    through :class:`~repro.core.trainer.ClosureLoop` (``epoch`` events
+    tagged ``finetune/transfer``); non-finite evaluation logits raise
+    :class:`~repro.validate.NumericsError`.
     """
     if dataset.task != "multitask":
         raise ValueError("finetune_multitask expects a multitask dataset")
     train_idx, valid_idx, test_idx = splits
     head = Linear(encoder.out_dim, dataset.num_classes, rng=rng)
-    saved = _snapshot(encoder)
-    optimizer = Adam(encoder.parameters() + head.parameters(), lr=lr)
+    saved = encoder.state_dict()
+
+    def batch_loss(batch):
+        labels = _float_labels(batch)
+        logits = head(encoder.graph_representations(batch))
+        loss = binary_cross_entropy_with_logits(
+            logits, np.nan_to_num(labels, nan=0.0), mask=~np.isnan(labels))
+        return loss, {"loss": loss.item()}
+
+    def auc(indices) -> float:
+        logits, labels = _eval_logits(encoder, head, dataset, indices)
+        return multitask_roc_auc(labels, logits)
+
+    loop = _finetune_loop("finetune/transfer", encoder, head, batch_loss,
+                          lr=lr, batch_size=batch_size, rng=rng)
     train_graphs = [dataset[i] for i in train_idx]
     best_valid, best_test = -np.inf, float("nan")
     for _ in range(epochs):
-        encoder.train()
-        loader = DataLoader(train_graphs, batch_size, shuffle=True, rng=rng)
-        for batch in loader:
-            labels = batch.labels().astype(np.float64)
-            mask = ~np.isnan(labels)
-            targets = np.nan_to_num(labels, nan=0.0)
-            logits = head(encoder.graph_representations(batch))
-            loss = binary_cross_entropy_with_logits(logits, targets, mask=mask)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-        valid_auc = _multitask_auc(encoder, head, dataset, valid_idx)
+        loop.pretrain(train_graphs, 1)
+        valid_auc = auc(valid_idx)
         if np.isnan(valid_auc):
             # Degenerate validation split (single-class tasks on a tiny
             # scaffold split): treat as chance so selection still proceeds.
             valid_auc = 0.5
         if valid_auc >= best_valid:
-            best_valid = valid_auc
-            best_test = _multitask_auc(encoder, head, dataset, test_idx)
-    _restore([encoder], saved)
+            best_valid, best_test = valid_auc, auc(test_idx)
+    encoder.load_state_dict(saved)
     return best_test
-
-
-def _multitask_auc(encoder, head, dataset, indices) -> float:
-    encoder.eval()
-    graphs = [dataset[i] for i in indices]
-    scores, labels = [], []
-    with no_grad():
-        for batch in DataLoader(graphs, 128):
-            scores.append(head(encoder.graph_representations(batch)).data)
-            labels.append(batch.labels().astype(np.float64))
-    encoder.train()
-    return multitask_roc_auc(np.concatenate(labels), np.concatenate(scores))
 
 
 def finetune_classifier(encoder: GNNEncoder, dataset: GraphDataset,
@@ -190,49 +204,37 @@ def finetune_classifier(encoder: GNNEncoder, dataset: GraphDataset,
     """Semi-supervised fine-tune: cross-entropy on the labelled subset.
 
     Returns test accuracy at the final epoch; encoder parameters are
-    restored before returning.
+    restored before returning. Training runs through
+    :class:`~repro.core.trainer.ClosureLoop` (``epoch`` events tagged
+    ``finetune/semi-supervised``; a batch of unlabelled graphs only counts
+    as skipped); non-finite evaluation logits raise
+    :class:`~repro.validate.NumericsError`.
     """
     head = Linear(encoder.out_dim, dataset.num_classes, rng=rng)
-    saved = _snapshot(encoder)
-    optimizer = Adam(encoder.parameters() + head.parameters(), lr=lr)
-    train_graphs = [dataset[i] for i in train_idx]
-    for _ in range(epochs):
-        encoder.train()
-        for batch in DataLoader(train_graphs, batch_size, shuffle=True, rng=rng):
-            # Unlabeled graphs (y=None → NaN label) carry no supervision;
-            # drop their rows before the loss — cross_entropy rejects
-            # non-finite targets rather than int-casting NaN to garbage.
-            labels_f, valid = _finite_labels(batch)
-            if not valid.any():
-                continue
-            logits = head(encoder.graph_representations(batch))
-            if not valid.all():
-                rows = np.flatnonzero(valid)
-                logits, labels_f = logits[rows], labels_f[rows]
-            loss = cross_entropy(logits, labels_f.astype(np.int64))
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-    encoder.eval()
-    predictions, labels = [], []
-    with no_grad():
-        for batch in DataLoader([dataset[i] for i in test_idx], 128):
-            labels_f, valid = _finite_labels(batch)
-            if not valid.any():
-                continue
-            logits = head(encoder.graph_representations(batch))
+    saved = encoder.state_dict()
+
+    def batch_loss(batch):
+        # Unlabeled graphs (y=None → NaN label) carry no supervision;
+        # drop their rows before the loss — cross_entropy rejects
+        # non-finite targets rather than int-casting NaN to garbage.
+        labels = _float_labels(batch)
+        valid = np.isfinite(labels)
+        if not valid.any():
+            return None, {}
+        logits = head(encoder.graph_representations(batch))
+        if not valid.all():
             rows = np.flatnonzero(valid)
-            predictions.append(np.argmax(logits.data[rows], axis=1))
-            labels.append(labels_f[rows].astype(np.int64))
-    encoder.train()
-    score = accuracy(np.concatenate(labels), np.concatenate(predictions))
-    _restore([encoder], saved)
-    return score
+            logits, labels = logits[rows], labels[rows]
+        loss = cross_entropy(logits, labels.astype(np.int64))
+        return loss, {"loss": loss.item()}
 
-
-def _finite_labels(batch) -> tuple[np.ndarray, np.ndarray]:
-    """Batch labels as float plus a finite-row (labeled) mask."""
-    labels = np.asarray(batch.labels())
-    if labels.dtype.kind not in "fc":
-        labels = labels.astype(np.float64)
-    return labels, np.isfinite(labels)
+    loop = _finetune_loop("finetune/semi-supervised", encoder, head,
+                          batch_loss, lr=lr, batch_size=batch_size, rng=rng)
+    loop.pretrain([dataset[i] for i in train_idx], epochs)
+    logits, labels = _eval_logits(encoder, head, dataset, test_idx)
+    labelled = np.isfinite(labels)
+    encoder.load_state_dict(saved)
+    if not labelled.any():
+        raise ValueError("finetune_classifier: no labelled test graph")
+    return accuracy(labels[labelled].astype(np.int64),
+                    np.argmax(logits[labelled], axis=1))

@@ -3,9 +3,10 @@
 A single NaN loss or an overflowing gradient silently poisons every
 parameter it touches — and contrastive pre-training keeps running,
 producing an encoder that embeds everything to garbage. The
-:class:`NumericsGuard` sits between ``model.loss`` and
-``optimizer.step`` in :meth:`repro.core.SGCLTrainer.pretrain` and
-:meth:`repro.baselines.BasePretrainer.pretrain` and checks every batch:
+:class:`NumericsGuard` sits between the batch loss and
+``optimizer.step`` in :meth:`repro.core.trainer.PretrainLoop.pretrain` —
+the one loop behind pre-training, the fine-tunes and generator
+adaptation — and checks every batch:
 
 * the loss components reported by the model (``loss``, ``loss_s``, …)
   must all be finite;
