@@ -44,21 +44,22 @@ def main() -> None:
 
     rng = np.random.default_rng(0)
     for graph in dataset.graphs:
+        batch = Batch([graph])
         with no_grad():
-            scores = trainer.model.semantic_scores(Batch([graph]))
+            scores = trainer.model.semantic_scores(batch)
         constants = scores.constants.data
         print(f"\n=== digit {graph.y} — Lipschitz constants "
               "(dark = semantic, 'x' = dropped) ===")
         print(ascii_map(graph, constants))
         view, complement = lipschitz_augment(
-            graph, scores.keep_probability, rho=0.7, rng=rng)
+            batch, scores.keep_probability, rho=0.7, rng=rng)
         kept = np.zeros(graph.num_nodes, dtype=bool)
-        kept[view.meta["parent_nodes"]] = True
+        kept[view.parent_nodes] = True
         print(f"--- positive view Ĝ (ρ=0.7): dropped "
               f"{graph.num_nodes - view.num_nodes} semantic-unrelated nodes ---")
         print(ascii_map(graph, constants, keep=kept))
         kept_c = np.zeros(graph.num_nodes, dtype=bool)
-        kept_c[complement.meta["parent_nodes"]] = True
+        kept_c[complement.parent_nodes] = True
         print("--- complement view Ĝ^c: semantic nodes dropped instead ---")
         print(ascii_map(graph, constants, keep=kept_c))
 

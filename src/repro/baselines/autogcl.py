@@ -13,7 +13,7 @@ import numpy as np
 
 from ..core.losses import semantic_info_nce
 from ..gnn import GNNEncoder, ProjectionHead
-from ..graph import Batch, Graph
+from ..graph import Batch
 from ..nn import Linear
 from ..tensor import Tensor, gather
 from .base import BasePretrainer
@@ -76,29 +76,20 @@ class AutoGCL(BasePretrainer):
         p = probs.data
         for i in range(batch.num_nodes):
             choices[i] = self.rng.choice(3, p=p[i] / p[i].sum())
-        view_graphs: list[Graph] = []
-        surviving_global: list[np.ndarray] = []
-        for graph_id, graph in enumerate(batch.graphs):
+        keep = np.ones(batch.num_nodes, dtype=bool)
+        for graph_id in range(batch.num_graphs):
             nodes = batch.nodes_of(graph_id)
-            local = choices[nodes]
-            drop_local = np.flatnonzero(local == _DROP)
+            drop = nodes[choices[nodes] == _DROP]
             # Cap the drop fraction so views stay informative.
-            max_drops = int(self.max_drop * graph.num_nodes)
-            drop_local = drop_local[:max_drops]
-            keep_local = np.setdiff1d(np.arange(graph.num_nodes), drop_local)
-            if keep_local.size == 0:
-                keep_local = np.array([0])
-            view = graph.subgraph(keep_local)
-            mask_local = np.flatnonzero(local == _MASK)
-            mask_in_view = np.flatnonzero(np.isin(keep_local, mask_local))
-            if mask_in_view.size:
-                view.x[mask_in_view] = 0.0
-            view_graphs.append(view)
-            surviving_global.append(nodes[keep_local])
+            drop = drop[:int(self.max_drop * len(nodes))]
+            if drop.size == len(nodes):  # keep the first node
+                drop = drop[1:]
+            keep[drop] = False
+        view = batch.subgraph(np.flatnonzero(keep))
+        view.x[choices[view.parent_nodes] == _MASK] = 0.0
         keep_probs = probs[(np.arange(batch.num_nodes),
                             np.full(batch.num_nodes, _KEEP))]
-        soft = gather(keep_probs, np.concatenate(surviving_global))
-        return Batch(view_graphs), soft
+        return view, gather(keep_probs, view.parent_nodes)
 
     def step(self, batch: Batch) -> Tensor:
         probs_a = self.generators[0].probabilities(batch)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.augmentation import phi_node_drop
+from ..core.augmentation import batch_node_drop
 from ..core.losses import complement_loss, semantic_info_nce
 from ..gnn import GNNEncoder, ProjectionHead
 from ..graph import Batch
@@ -49,25 +49,15 @@ class RGCL(BasePretrainer):
 
     def step(self, batch: Batch) -> Tensor:
         probabilities = self.node_probabilities(batch)
-        per_graph = batch.unbatch_node_values(probabilities.data)
-        num_drops = [max(0, int(round((1 - self.keep_ratio) * g.num_nodes)))
-                     for g in batch.graphs]
-        rationale_views, complement_views, soft_ids = [], [], []
-        for graph_id, (graph, p, k) in enumerate(
-                zip(batch.graphs, per_graph, num_drops)):
-            view = phi_node_drop(graph, k, 1.0 - p + 1e-6, self.rng)
-            complement = phi_node_drop(graph, k, p + 1e-6, self.rng)
-            rationale_views.append(view)
-            complement_views.append(complement)
-            soft_ids.append(view.meta["parent_nodes"]
-                            + batch.node_offsets[graph_id])
-        soft = gather(probabilities, np.concatenate(soft_ids))
-        view_batch = Batch(rationale_views)
+        p = probabilities.data
+        views, complements = batch_node_drop(
+            batch, self.keep_ratio, 1.0 - p + 1e-6, p + 1e-6, self.rng)
+        soft = gather(probabilities, views.parent_nodes)
         z_anchor = self.projection(self.encoder.graph_representations(batch))
         z_view = self.projection(self.encoder.graph_representations(
-            view_batch, node_weight=soft))
+            views, node_weight=soft))
         z_complement = self.projection(self.encoder.graph_representations(
-            Batch(complement_views)))
+            complements))
         loss = semantic_info_nce(z_anchor, z_view, self.tau)
         return loss + self.lambda_c * complement_loss(
             z_anchor, z_view, z_complement, self.tau)

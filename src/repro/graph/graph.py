@@ -36,6 +36,19 @@ def update_graph_hash(hasher, graph: Graph) -> None:
         hasher.update(np.ascontiguousarray(array).tobytes())
 
 
+def induced_edges(edge_index: np.ndarray, num_nodes: int,
+                  keep: np.ndarray) -> np.ndarray:
+    """Edges of ``edge_index`` between kept nodes, relabelled to positions
+    in ``keep`` (an int64 index array); edge order is preserved."""
+    if keep.size and (keep.min() < 0 or keep.max() >= num_nodes):
+        raise ValueError("keep indices out of range")
+    relabel = -np.ones(num_nodes, dtype=np.int64)
+    relabel[keep] = np.arange(keep.size)
+    src, dst = edge_index
+    surviving = (relabel[src] >= 0) & (relabel[dst] >= 0)
+    return np.stack([relabel[src[surviving]], relabel[dst[surviving]]])
+
+
 class Graph:
     """A single attributed graph.
 
@@ -128,13 +141,7 @@ class Graph:
         are relabelled to ``0..len(keep)-1`` preserving order.
         """
         keep = np.asarray(keep, dtype=np.int64)
-        if keep.size and (keep.min() < 0 or keep.max() >= self.num_nodes):
-            raise ValueError("keep indices out of range")
-        relabel = -np.ones(self.num_nodes, dtype=np.int64)
-        relabel[keep] = np.arange(keep.size)
-        src, dst = self.edge_index
-        surviving = (relabel[src] >= 0) & (relabel[dst] >= 0)
-        new_edges = np.stack([relabel[src[surviving]], relabel[dst[surviving]]])
+        new_edges = induced_edges(self.edge_index, self.num_nodes, keep)
         meta = dict(self.meta)
         meta["parent_nodes"] = keep.copy()
         return Graph(self.x[keep], new_edges, self.y, meta)

@@ -18,7 +18,7 @@ Two corrections keep the estimate honest on a sampled stream:
   weighted by the stream's ``α_v ≈ 1/λ_v`` estimate (normalised to mean
   1 within the batch) so the objective approximates the full-graph loss.
 * **Augmentation-surviving pairs only** — a node dropped from the view
-  has no positive; only survivors (``meta["parent_nodes"]``) enter the
+  has no positive; only survivors (the view's ``parent_nodes``) enter the
   loss, capped at ``max_contrast_nodes`` uniformly at random so the
   ``O(m²)`` similarity matrix stays CPU-sized.
 
@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from ..core import SGCLConfig, SGCLModel, SGCLTrainer
-from ..core.losses import graph_likelihood_loss, weight_regularizer
 # The L2L objective is Eq. 24 over matched node rows; this module keeps
 # the name for the node-level call site.
 from ..core.losses import semantic_info_nce as node_info_nce
@@ -56,19 +55,10 @@ def node_contrastive_loss(model: SGCLModel, batch: Batch,
     nodes survive augmentation (nothing to contrast — the caller skips
     the batch, mirroring the graph-level "< 2 graphs" skip).
     """
-    config = model.config
     scores = model.semantic_scores(batch)
     views, _ = model.generate_views(batch, scores, rng)
-    anchor_rows = np.concatenate(
-        [view.meta["parent_nodes"] + batch.node_offsets[graph_id]
-         for graph_id, view in enumerate(views)])
-    stats: dict[str, float] = {}
-    constants = scores.constants.data
-    stats["k_v_mean"] = float(constants.mean())
-    stats["k_v_std"] = float(constants.std())
-    stats["k_v_min"] = float(constants.min())
-    stats["k_v_max"] = float(constants.max())
-    stats["drop_fraction"] = 1.0 - len(anchor_rows) / batch.num_nodes
+    anchor_rows = views.parent_nodes
+    stats = model.view_stats(batch, scores, views)
     if len(anchor_rows) < 2:
         return None, stats
     view_rows = np.arange(len(anchor_rows))
@@ -79,25 +69,12 @@ def node_contrastive_loss(model: SGCLModel, batch: Batch,
     stats["contrast_nodes"] = float(len(anchor_rows))
 
     z_anchor = model.projection(model.f_k(batch))
-    z_view = model.projection(model.f_k(Batch(views)))
+    z_view = model.projection(model.f_k(views))
     loss_s = node_info_nce(gather(z_anchor, anchor_rows),
-                           gather(z_view, view_rows), config.tau,
+                           gather(z_view, view_rows), model.config.tau,
                            weights=node_norms[anchor_rows])
-    total = loss_s
     stats["loss_s"] = loss_s.item()
-    if config.lambda_g > 0:
-        reps = model.generator.node_representations(batch)
-        loss_g = graph_likelihood_loss(reps, batch.edge_index,
-                                       batch.degrees(), model.edge_weight,
-                                       rng)
-        total = total + config.lambda_g * loss_g
-        stats["loss_g"] = loss_g.item()
-    if config.use_weight_reg and config.lambda_w > 0:
-        reg = weight_regularizer(model)
-        total = total + config.lambda_w * reg
-        stats["theta_w"] = reg.item()
-    stats["loss"] = total.item()
-    return total, stats
+    return model.objective_tail(batch, loss_s, stats, rng)
 
 
 class NodeSGCLTrainer(SGCLTrainer):
