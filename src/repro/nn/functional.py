@@ -226,8 +226,9 @@ def edge_likelihood(h: Tensor, w: Tensor, degrees: np.ndarray,
     per_node = scaled @ w.data
     logits = per_node[src] + per_node[dst]
     count = len(logits)
-    value = (np.logaddexp(0.0, logits) - logits * targets).sum() \
-        * (1.0 / count)
+    with np.errstate(invalid="ignore"):  # NaN logits: the guard reports
+        value = (np.logaddexp(0.0, logits) - logits * targets).sum() \
+            * (1.0 / count)
 
     def backward(out: Tensor) -> None:
         grad = np.broadcast_to(out.grad * (1.0 / count), (count,))

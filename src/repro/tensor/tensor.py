@@ -462,7 +462,8 @@ class Tensor:
 
     def softplus(self) -> "Tensor":
         """``log(1 + e^x)`` — the ρ(x) of the paper's Lemma 2, stable form."""
-        value = np.logaddexp(0.0, self.data)
+        with np.errstate(invalid="ignore"):  # NaN: the guard reports
+            value = np.logaddexp(0.0, self.data)
 
         def backward(out: Tensor) -> None:
             self._accumulate(
