@@ -3,8 +3,11 @@
 The synthetic generators are deterministic, but saving materialised datasets
 is still useful for pinning the exact graphs of a committed experiment run,
 sharing them with collaborators, or loading external graphs prepared by
-other tooling. The format packs every graph's arrays into one compressed
-archive plus a small JSON header.
+other tooling. The format packs every graph's arrays into one uncompressed
+``.npz`` archive plus a small JSON header: float64 node features barely
+compress, so zlib would cost about half of a streaming write for a ~17 %
+size saving. :func:`load_saved_dataset` reads compressed archives written
+by earlier versions unchanged (``np.load`` handles both).
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ def save_dataset(dataset: GraphDataset, path: str | Path) -> Path:
     arrays["__header__"] = np.frombuffer(
         json.dumps(header).encode(), dtype=np.uint8)
     with atomic_write(path, suffix=".npz") as tmp:
-        np.savez_compressed(tmp, **arrays)
+        np.savez(tmp, **arrays)
     return path
 
 

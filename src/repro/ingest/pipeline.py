@@ -108,13 +108,7 @@ class IngestPipeline:
         return self._observer if self._observer is not None else current()
 
     # ------------------------------------------------------------------
-    def reference(self) -> dict | None:
-        """Training statistics of the live model (None before a refresh)."""
-        live = read_live(self.store.root)
-        return live["statistics"] if live else None
-
-    def _live_generator(self):
-        live = read_live(self.store.root)
+    def _live_generator(self, live: dict | None):
         registry = self.controller.registry if self.controller else None
         return self._generator.get(registry,
                                    live["model"] if live else None)
@@ -136,8 +130,12 @@ class IngestPipeline:
                 self._obs().increment("ingest/dropped_graphs", dropped)
         if not graphs:
             raise ValidationError(report)
+        # One read of the live pointer per batch: a refresh going live
+        # mid-ingest must not pair one model's K_V generator with another
+        # model's drift reference.
+        live = read_live(self.store.root)
         manifest, created = self.store.append(
-            graphs, generator=self._live_generator(), **append_kwargs)
+            graphs, generator=self._live_generator(live), **append_kwargs)
         if not created:
             self._obs().increment("ingest/duplicate_batches")
             return IngestReport(version=manifest["version"],
@@ -145,7 +143,7 @@ class IngestPipeline:
                                 created=False, action="duplicate")
         drift = None
         action = "ok"
-        reference = self.reference()
+        reference = live["statistics"] if live else None
         if reference is not None:
             detector = DriftDetector(
                 reference, warn_threshold=self.warn_threshold,

@@ -4,6 +4,7 @@ A :class:`DatasetStore` turns a directory into a stream-ingestable,
 versioned graph corpus:
 
     <root>/batches/batch-<fingerprint>.npz   content-addressed batch data
+                                             (uncompressed ``.npz``)
     <root>/manifests/v000001.json            one manifest per version
     <root>/quarantine/                       corrupt/orphan files, kept
 
@@ -22,7 +23,12 @@ or batch files are moved to ``quarantine/`` (never deleted — they are
 evidence) and resolution falls back to the newest intact version.
 Re-ingesting a batch whose fingerprint is already in the chain is a
 no-op by default (``dedupe=True``), which is what makes a crashed-and-
-restarted ingest driver idempotent.
+restarted ingest driver idempotent. Because batch files are
+content-addressed, dedupe walks the chain only when the batch's file
+already exists: with no file, no intact version can reference it, so a
+new batch costs one manifest read, and a re-ingest of a batch whose file
+went missing rewrites it and commits (repairing the versions that
+reference it).
 
 Graphs carry an identity: ``graph.meta["graph_id"]`` if present, else an
 implicit ``"v<version>:<index>"``. A later batch may re-submit an id
@@ -169,16 +175,18 @@ class DatasetStore:
         ``dedupe`` and the batch's content fingerprint already appears in
         the chain, the existing manifest is returned with
         ``created=False`` — re-running an interrupted ingest is
-        therefore idempotent.
+        therefore idempotent. The chain is walked only when the batch
+        file exists; a batch whose file is missing commits anew.
         """
         graphs = list(graphs)
         if not graphs:
             raise ValueError("append requires at least one graph")
         batch_fp = dataset_fingerprint(graphs)
+        batch_file = self.batch_path(batch_fp)
         versions = self.versions()
         parent_manifest = self.resolve(verify=False) if versions else None
         parent = parent_manifest["version"] if parent_manifest else 0
-        if dedupe and parent_manifest is not None:
+        if dedupe and parent_manifest is not None and batch_file.exists():
             for entry in self.chain(parent):
                 if entry["batch_fingerprint"] == batch_fp:
                     return entry, False
@@ -200,7 +208,7 @@ class DatasetStore:
             "parent": parent,
             "parent_fingerprint": parent_fp,
             "fingerprint": _chain_fingerprint(parent_fp, batch_fp),
-            "batch": self.batch_path(batch_fp).name,
+            "batch": batch_file.name,
             "batch_fingerprint": batch_fp,
             "num_graphs": len(graphs),
             "total_graphs": (parent_manifest["total_graphs"]
@@ -218,7 +226,6 @@ class DatasetStore:
             "created": time.time(),
         }
         crash_point("ingest/before_batch_write")
-        batch_file = self.batch_path(batch_fp)
         if not batch_file.exists():
             save_dataset(GraphDataset(name, graphs, num_classes, task),
                          batch_file)
@@ -373,10 +380,20 @@ class DatasetStore:
         Exactly the cache entries a refresh must invalidate: ids whose
         content changed between the two versions contribute their *old*
         digest; unchanged graphs (same id, same digest) contribute
-        nothing and keep their warm cache rows.
+        nothing and keep their warm cache rows. One walk of
+        ``new_version``'s chain serves both maps when ``old_version`` is
+        on its lineage; otherwise (``old_version`` is not one of its
+        ancestors, e.g. it is the newer of the two) it gets its own walk.
         """
-        old = self.id_digests(old_version)
-        new = self.id_digests(new_version)
+        new: dict[str, str] = {}
+        old = None
+        for entry in self.chain(new_version):
+            for meta in entry["graphs"]:
+                new[meta["id"]] = meta["digest"]
+            if entry["version"] == old_version:
+                old = dict(new)
+        if old is None:
+            old = self.id_digests(old_version)
         return sorted(old[gid] for gid in old
                       if gid in new and new[gid] != old[gid])
 

@@ -86,14 +86,17 @@ def precompute_node_constants(generator, graphs, *,
             k_v = generator.node_constants(Batch([graph])).data
         return {"k_v": np.asarray(k_v, dtype=np.float64)}
 
-    results = _cached_fan_out(graphs, generator_spec(generator), constants,
-                              workers=workers, cache=cache)
+    spec = generator_spec(generator) if cache is not None else None
+    results = _cached_fan_out(graphs, spec, constants, workers=workers,
+                              cache=cache)
     return [entry["k_v"] for entry in results]
 
 
 # ----------------------------------------------------------------------
-def _cached_fan_out(graphs, spec: dict, job, *, workers: int | None,
+def _cached_fan_out(graphs, spec: dict | None, job, *,
+                    workers: int | None,
                     cache: PrecomputeCache | None) -> list[dict]:
+    """``job`` over ``graphs``; ``spec`` keys the cache (unused without)."""
     graphs = list(graphs)
     results: list[dict | None] = [None] * len(graphs)
     missing: list[int] = []

@@ -9,9 +9,12 @@ from repro.core import SGCLConfig, SGCLTrainer
 from repro.fleet import build_fleet
 from repro.ingest import (
     DatasetStore,
+    DriftDetector,
     IngestPipeline,
     RefreshController,
+    corpus_statistics,
     read_live,
+    write_live,
 )
 from repro.obs import Observer
 from repro.serve import ModelRegistry, load_trainer
@@ -156,6 +159,44 @@ def test_pipeline_validates_drift_checks_and_refreshes(tmp_path):
     outcome = controller.refresh()
     assert outcome.model == "sgcl-v000002"
     assert read_live(store.root)["dataset_version"] == 2
+
+
+def test_ingest_reads_the_live_pointer_once(tmp_path, monkeypatch):
+    """A go-live between two reads must not mix models in one drift check."""
+    import repro.ingest.pipeline as pipeline_module
+
+    store = DatasetStore(tmp_path / "store", observer=Observer())
+    store.append(make_corpus(seed=0, n=4))
+    old = corpus_statistics(make_corpus(seed=0, n=4))
+    new = corpus_statistics(make_corpus(seed=2, n=4, shift=3.0))
+    write_live(store.root, {"model": "m-old", "dataset_version": 1,
+                            "statistics": old})
+    read = pipeline_module.read_live
+
+    def read_then_go_live(root):
+        live = read(root)
+        write_live(root, {"model": "m-new", "dataset_version": 1,
+                          "statistics": new})
+        return live
+
+    monkeypatch.setattr(pipeline_module, "read_live", read_then_go_live)
+    references = []
+
+    class RecordingDetector(DriftDetector):
+        def __init__(self, reference, **kwargs):
+            references.append(reference)
+            super().__init__(reference, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "DriftDetector", RecordingDetector)
+    pipeline = IngestPipeline(store, observer=Observer())
+    models = []
+    monkeypatch.setattr(pipeline._generator, "get",
+                        lambda registry, name: models.append(name))
+    report = pipeline.ingest(make_corpus(seed=1, n=3))
+    assert models == ["m-old"]
+    assert references == [old]
+    assert report.drift.scores == DriftDetector(old).check(
+        store.resolve()["statistics"]).scores
 
 
 def test_pipeline_drops_invalid_graphs_and_rejects_empty_batches(tmp_path):

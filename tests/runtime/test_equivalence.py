@@ -86,6 +86,28 @@ def test_node_constants_cache_respects_parameter_change(rng, tmp_path):
     assert cache.stats()["misses"] == 2 * len(graphs)
 
 
+def test_node_constants_build_the_cache_spec_only_with_a_cache(
+        rng, tmp_path, monkeypatch):
+    """The spec hashes every generator parameter; without a cache it is
+    never read, so it is not built."""
+    import repro.runtime.precompute as precompute
+
+    graphs = _corpus(rng, 3)
+    generator = _generator("approx")
+    expected = precompute_node_constants(generator, graphs, workers=1)
+    specs = []
+    build = precompute.generator_spec
+    monkeypatch.setattr(precompute, "generator_spec",
+                        lambda gen: specs.append(build(gen)) or specs[-1])
+    plain = precompute_node_constants(generator, graphs, workers=1)
+    assert specs == []
+    cached = precompute_node_constants(generator, graphs, workers=1,
+                                       cache=PrecomputeCache(tmp_path / "kv"))
+    assert len(specs) == 1
+    for a, b, c in zip(expected, plain, cached):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
 def test_statics_bit_identical(rng):
     graphs = _corpus(rng)
     serial = precompute_statics(graphs, workers=1)
