@@ -15,7 +15,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.baselines import AutoGCL, RGCL
+from repro.baselines import (
+    ADGCL,
+    DGI,
+    GAE,
+    AttrMasking,
+    AutoGCL,
+    ContextPred,
+    RGCL,
+)
 from repro.core import SGCLConfig, SGCLTrainer
 from repro.data import load_dataset
 from repro.sampling import (
@@ -86,6 +94,12 @@ CASES = {
                    "62c258b211e77a23", "e04f94245dca9167"),
     "sgcl-gcn-rho-0.6": (lambda: _graph_sgcl(conv="gcn", rho=0.6),
                          "78c558ae6bd7f02c", "820d101d67a6dcb7"),
+    "sgcl-gat": (lambda: _graph_sgcl(conv="gat"),
+                 "3c50dde9ac5f18c0", "84d1108c19f1098d"),
+    "sgcl-sage": (lambda: _graph_sgcl(conv="sage"),
+                  "e1fa7677a75ad77f", "09ac3063508a2b19"),
+    "sgcl-generator-gat": (lambda: _graph_sgcl(generator_conv="gat"),
+                           "adc5b89984f3f5a2", "3582cad776ccf0df"),
     "node-sgcl": (lambda: _node_sgcl(),
                   "d0c189f9f4d2517f", "e758b9d97db7a3cf"),
     "node-sgcl-cap-16": (lambda: _node_sgcl(max_contrast_nodes=16),
@@ -96,6 +110,16 @@ CASES = {
                 "0ac49a302ea156dd", "733956028b1e1d70"),
     "autogcl-max-drop-1": (lambda: _baseline(AutoGCL, max_drop=1.0),
                            "87453676a9f1f90a", "39daa05caaff88a3"),
+    "adgcl": (lambda: _baseline(ADGCL),
+              "071f5ed82d28393c", "21cd82e135824fe8"),
+    "attr-masking": (lambda: _baseline(AttrMasking),
+                     "0082af67db1a101c", "819f52a4351efd8b"),
+    "context-pred": (lambda: _baseline(ContextPred),
+                     "8e8e1c6a2093bec8", "22f0938747dfa206"),
+    "dgi": (lambda: _baseline(DGI),
+            "9c13a7056d65d821", "eb7485792fed660a"),
+    "gae": (lambda: _baseline(GAE),
+            "09114318d3f6df91", "ff9a646651f5d408"),
 }
 
 

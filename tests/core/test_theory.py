@@ -53,6 +53,13 @@ def test_representation_distance_zero_for_identity_view(setup):
         pytest.approx(0.0, abs=1e-9)
 
 
+def test_representation_distance_is_pinned(setup):
+    """Masked message passing over one graph, pinned to the last bit."""
+    encoder, graphs, kept = setup
+    distance = theory.representation_distance(encoder, graphs[0], kept[0])
+    assert distance.hex() == "0x1.c0ccbfe0e125fp+0"
+
+
 def test_lipschitz_constant_of_set_is_supremum(setup):
     encoder, graphs, kept = setup
     k_g, eps_a = theory.lipschitz_constant_of_set(encoder, graphs, kept)
