@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.losses import semantic_info_nce
-from ..gnn import ProjectionHead
+from ..gnn import POOLING_TYPES, GNNEncoder, ProjectionHead
 from ..graph import Batch
 from ..nn import Adam, MLP
-from ..tensor import Tensor, gather, segment_sum
+from ..tensor import Tensor, concatenate, gather, segment_sum
 from .base import BasePretrainer
 
 __all__ = ["ADGCL"]
@@ -44,7 +44,6 @@ class ADGCL(BasePretrainer):
 
     def _build(self, rng: np.random.Generator) -> None:
         self.projection = ProjectionHead(self.encoder.out_dim, rng=rng)
-        from ..gnn import GNNEncoder
         self.scorer_encoder = GNNEncoder(self.in_dim, self.encoder.hidden_dim,
                                          2, rng=rng, conv="gin")
         self.edge_scorer = MLP([2 * self.encoder.hidden_dim,
@@ -53,31 +52,26 @@ class ADGCL(BasePretrainer):
     # ------------------------------------------------------------------
     def _edge_keep_weights(self, batch: Batch) -> Tensor:
         node_reps = self.scorer_encoder(batch)
-        src, dst = batch.edge_index
-        from ..tensor import concatenate
-        pair = concatenate([gather(node_reps, src), gather(node_reps, dst)],
-                           axis=1)
+        workspace = batch.workspace()
+        pair = concatenate([gather(node_reps, workspace.plan("src")),
+                            gather(node_reps, workspace.plan("dst"))], axis=1)
         return self.edge_scorer(pair).sigmoid().reshape(batch.num_edges)
 
     def _view_embeddings(self, batch: Batch, keep: Tensor) -> Tensor:
         """Encode with per-edge soft weights by scaling messages.
 
-        Implemented by duplicating the encoder forward with messages scaled
-        through a weighted adjacency: we emulate it via node_weight=None and
-        a pre-scaled feature trick is not possible, so we fall back to the
-        GIN aggregation with scaled messages.
+        The encoder's GIN layers, with each message scaled by its edge's
+        keep weight, then the encoder's own pooling.
         """
-        # Manual GIN-style forward with edge weights to keep things simple.
-        x = Tensor(batch.x)
-        h = x
-        src, dst = batch.edge_index
+        workspace = batch.workspace()
+        h = Tensor(batch.x)
         for conv in self.encoder.convs:
-            messages = gather(h, src) * keep.reshape(batch.num_edges, 1)
-            agg = segment_sum(messages, dst, batch.num_nodes)
+            messages = (gather(h, workspace.plan("src"))
+                        * keep.reshape(batch.num_edges, 1))
+            agg = segment_sum(messages, workspace.plan("dst"))
             h = conv.mlp(h * (1.0 + conv.eps) + agg)
-        from ..gnn import global_sum_pool
-        pooled = global_sum_pool(h, batch.node_graph, batch.num_graphs)
-        return self.projection(pooled)
+        pool = POOLING_TYPES[self.encoder.pooling_name]
+        return self.projection(pool(h, workspace.pool_plan()))
 
     def _anchor_embeddings(self, batch: Batch) -> Tensor:
         return self.projection(self.encoder.graph_representations(batch))

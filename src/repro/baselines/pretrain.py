@@ -44,8 +44,8 @@ class AttrMasking(BasePretrainer):
         masked = self.rng.choice(n, size=num_masked, replace=False)
         corrupted = batch.x.copy()
         corrupted[masked] = 0.0
-        reps = self.encoder.node_representations(
-            Tensor(corrupted), batch.edge_index, n)
+        reps = self.encoder.node_representations(Tensor(corrupted),
+                                                 batch.workspace())
         predicted = self.decoder(gather(reps, masked))
         return mse_loss(predicted, batch.x[masked])
 
@@ -62,8 +62,9 @@ class ContextPred(BasePretrainer):
     def step(self, batch: Batch) -> Tensor:
         reps = self.encoder(batch)
         # Context = mean of each node's neighbours (1-hop context pooling).
-        src, dst = batch.edge_index
-        context = segment_mean(gather(reps, src), dst, batch.num_nodes)
+        workspace = batch.workspace()
+        context = segment_mean(gather(reps, workspace.plan("src")),
+                               workspace.plan("dst"))
         context = self.context_head(context)
         n = batch.num_nodes
         permutation = self.rng.permutation(n)
@@ -84,8 +85,9 @@ class GAE(BasePretrainer):
         num_edges = batch.num_edges
         if num_edges == 0:
             return (reps * 0.0).sum()
-        src, dst = batch.edge_index
-        positive = (gather(reps, src) * gather(reps, dst)).sum(axis=1)
+        workspace = batch.workspace()
+        positive = (gather(reps, workspace.plan("src"))
+                    * gather(reps, workspace.plan("dst"))).sum(axis=1)
         neg_src = self.rng.integers(batch.num_nodes, size=num_edges)
         neg_dst = self.rng.integers(batch.num_nodes, size=num_edges)
         negative = (gather(reps, neg_src) * gather(reps, neg_dst)).sum(axis=1)
@@ -105,12 +107,12 @@ class DGI(BasePretrainer):
 
     def step(self, batch: Batch) -> Tensor:
         reps = self.encoder(batch)
-        summary = segment_mean(reps, batch.node_graph,
-                               batch.num_graphs).sigmoid()
+        pool_plan = batch.workspace().pool_plan()
+        summary = segment_mean(reps, pool_plan).sigmoid()
         shuffled = Batch(batch.graphs)
         shuffled.x = batch.x[self.rng.permutation(batch.num_nodes)]
         corrupted = self.encoder(shuffled)
-        per_node_summary = gather(summary, batch.node_graph)
+        per_node_summary = gather(summary, pool_plan)
         positive = ((reps @ self.bilinear) * per_node_summary).sum(axis=1)
         negative = ((corrupted @ self.bilinear) * per_node_summary).sum(axis=1)
         n = batch.num_nodes

@@ -575,6 +575,52 @@ def _cmd_sample(args: argparse.Namespace) -> None:
               f"{sub['num_edges']} edges, first ids {sub['node_ids']}")
 
 
+def _open_checkpoint(command: str, args: argparse.Namespace, build, load):
+    """Open ``args.checkpoint`` for ``command``: ``(build(), load())``.
+
+    ``build`` makes what serves the checkpoint, ``load`` the dataset to
+    serve. An unreadable checkpoint, or one whose ``in_dim`` differs from
+    the dataset's feature count, exits with a one-line message.
+    """
+    import zipfile
+
+    from .serve import read_checkpoint_header
+
+    try:
+        header = read_checkpoint_header(args.checkpoint)
+        served = build()
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as error:
+        raise SystemExit(
+            f"{command}: cannot load checkpoint {args.checkpoint}: "
+            f"{error}") from error
+    dataset = load()
+    if header["in_dim"] is not None \
+            and dataset.num_features != header["in_dim"]:
+        raise SystemExit(
+            f"checkpoint expects {header['in_dim']} node features; "
+            f"{args.dataset} has {dataset.num_features}")
+    return served, dataset
+
+
+def _write_npz(command: str, path: str, **arrays):
+    """Atomically write ``arrays`` to ``path`` (``.npz`` suffix enforced)."""
+    from pathlib import Path
+
+    import numpy as np
+
+    from .data.io import atomic_write
+
+    out = Path(path)
+    if out.suffix != ".npz":
+        out = out.with_suffix(".npz")
+    try:
+        with atomic_write(out, suffix=".npz") as tmp:
+            np.savez_compressed(tmp, **arrays)
+    except OSError as error:
+        raise SystemExit(f"{command}: cannot write {out}: {error}") from error
+    return out
+
+
 def _parse_node_ids(spec: str) -> list[int]:
     """``"0,5,9-12"`` → ``[0, 5, 9, 10, 11, 12]``."""
     ids: list[int] = []
@@ -594,29 +640,17 @@ def _parse_node_ids(spec: str) -> list[int]:
 
 def _embed_node_level(args: argparse.Namespace) -> None:
     """Per-node embeddings through the graph-level service (ego-nets)."""
-    import zipfile
-
     import numpy as np
 
-    from .data.io import atomic_write
     from .sampling import NodeEmbeddingIndex, load_node_dataset
-    from .serve import EmbeddingService, read_checkpoint_header
+    from .serve import EmbeddingService
 
-    try:
-        header = read_checkpoint_header(args.checkpoint)
-        service = EmbeddingService.from_checkpoint(
-            args.checkpoint, max_batch_size=args.batch_size)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as error:
-        raise SystemExit(
-            f"embed: cannot load checkpoint {args.checkpoint}: "
-            f"{error}") from error
-    dataset = load_node_dataset(args.dataset, seed=args.seed,
-                                scale=args.scale)
-    if header["in_dim"] is not None \
-            and dataset.num_features != header["in_dim"]:
-        raise SystemExit(
-            f"checkpoint expects {header['in_dim']} node features; "
-            f"{args.dataset} has {dataset.num_features}")
+    service, dataset = _open_checkpoint(
+        "embed", args,
+        lambda: EmbeddingService.from_checkpoint(
+            args.checkpoint, max_batch_size=args.batch_size),
+        lambda: load_node_dataset(args.dataset, seed=args.seed,
+                                  scale=args.scale))
     node_ids = np.asarray(_parse_node_ids(args.nodes), dtype=np.int64)
     if node_ids.min() < 0 or node_ids.max() >= dataset.num_nodes:
         raise SystemExit(
@@ -625,18 +659,8 @@ def _embed_node_level(args: argparse.Namespace) -> None:
     index = NodeEmbeddingIndex(service, dataset, seed=args.seed)
     embeddings = index.embed_nodes(node_ids)
     if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        if out.suffix != ".npz":
-            out = out.with_suffix(".npz")
-        try:
-            with atomic_write(out, suffix=".npz") as tmp:
-                np.savez_compressed(tmp, embeddings=embeddings,
-                                    node_ids=node_ids,
-                                    labels=dataset.y[node_ids])
-        except OSError as error:
-            raise SystemExit(f"embed: cannot write {out}: {error}") from error
+        out = _write_npz("embed", args.out, embeddings=embeddings,
+                         node_ids=node_ids, labels=dataset.y[node_ids])
         print(f"wrote {embeddings.shape[0]}×{embeddings.shape[1]} node "
               f"embeddings to {out}")
     else:
@@ -647,45 +671,21 @@ def _embed_node_level(args: argparse.Namespace) -> None:
 
 
 def _cmd_embed(args: argparse.Namespace) -> None:
-    import zipfile
-
-    import numpy as np
-
     from .data import load_dataset
-    from .data.io import atomic_write
-    from .serve import EmbeddingService, read_checkpoint_header
+    from .serve import EmbeddingService
 
     if args.node_level:
         _embed_node_level(args)
         return
-    try:
-        header = read_checkpoint_header(args.checkpoint)
-        service = EmbeddingService.from_checkpoint(
-            args.checkpoint, max_batch_size=args.batch_size)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as error:
-        raise SystemExit(
-            f"embed: cannot load checkpoint {args.checkpoint}: "
-            f"{error}") from error
-    dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
-    if header["in_dim"] is not None \
-            and dataset.num_features != header["in_dim"]:
-        raise SystemExit(
-            f"checkpoint expects {header['in_dim']} node features; "
-            f"{args.dataset} has {dataset.num_features}")
+    service, dataset = _open_checkpoint(
+        "embed", args,
+        lambda: EmbeddingService.from_checkpoint(
+            args.checkpoint, max_batch_size=args.batch_size),
+        lambda: load_dataset(args.dataset, seed=args.seed, scale=args.scale))
     embeddings = service.embed(dataset.graphs)
     if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        if out.suffix != ".npz":
-            out = out.with_suffix(".npz")
-        try:
-            with atomic_write(out, suffix=".npz") as tmp:
-                np.savez_compressed(tmp, embeddings=embeddings,
-                                    labels=dataset.labels())
-        except OSError as error:
-            raise SystemExit(
-                f"embed: cannot write {out}: {error}") from error
+        out = _write_npz("embed", args.out, embeddings=embeddings,
+                         labels=dataset.labels())
         print(f"wrote {embeddings.shape[0]}×{embeddings.shape[1]} "
               f"embeddings to {out}")
     else:
@@ -765,30 +765,18 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     import zipfile
     from pathlib import Path
 
-    import numpy as np
-
     from .data import load_dataset
-    from .data.io import atomic_write
     from .fleet import CanaryController, build_fleet
-    from .serve import EmbeddingService, read_checkpoint_header
+    from .serve import EmbeddingService
 
     if args.canary_checkpoint is None and args.canary_slice is not None:
         raise SystemExit("serve: --canary-slice requires --canary-checkpoint")
-    try:
-        header = read_checkpoint_header(args.checkpoint)
-        router = build_fleet(args.checkpoint, args.workers,
-                             policy=args.policy, cache_size=args.cache_size,
-                             max_batch_size=args.batch_size)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as error:
-        raise SystemExit(
-            f"serve: cannot load checkpoint {args.checkpoint}: "
-            f"{error}") from error
-    dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
-    if header["in_dim"] is not None \
-            and dataset.num_features != header["in_dim"]:
-        raise SystemExit(
-            f"checkpoint expects {header['in_dim']} node features; "
-            f"{args.dataset} has {dataset.num_features}")
+    router, dataset = _open_checkpoint(
+        "serve", args,
+        lambda: build_fleet(args.checkpoint, args.workers,
+                            policy=args.policy, cache_size=args.cache_size,
+                            max_batch_size=args.batch_size),
+        lambda: load_dataset(args.dataset, seed=args.seed, scale=args.scale))
     controller = None
     if args.canary_checkpoint:
         from .serve.checkpoint import load_checkpoint
@@ -827,16 +815,8 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             print(f"canary decision: {decision} "
                   f"(stable is now {router.workers[0].version})")
         if args.out:
-            out = Path(args.out)
-            if out.suffix != ".npz":
-                out = out.with_suffix(".npz")
-            try:
-                with atomic_write(out, suffix=".npz") as tmp:
-                    np.savez_compressed(tmp, embeddings=embeddings,
-                                        labels=dataset.labels())
-            except OSError as error:
-                raise SystemExit(
-                    f"serve: cannot write {out}: {error}") from error
+            out = _write_npz("serve", args.out, embeddings=embeddings,
+                             labels=dataset.labels())
             print(f"wrote {embeddings.shape[0]}×{embeddings.shape[1]} "
                   f"embeddings to {out}")
         if args.stats:

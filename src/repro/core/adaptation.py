@@ -52,10 +52,7 @@ def adapt_generator(model: SGCLModel, graphs: Sequence[Graph], *,
 
     def batch_loss(batch):
         reps = model.generator.node_representations(batch)
-        degrees = np.bincount(batch.edge_index[0],
-                              minlength=batch.num_nodes).astype(float) \
-            if batch.num_edges else np.zeros(batch.num_nodes)
-        loss = graph_likelihood_loss(reps, batch.edge_index, degrees,
+        loss = graph_likelihood_loss(reps, batch.edge_index, batch.degrees(),
                                      model.edge_weight, negative_rng)
         return loss, {"loss": loss.item()}
 

@@ -108,8 +108,8 @@ class SGCLModel(Module):
             constants = constants.detach()
             reps = reps.detach()
         head_scores = (reps @ self.prob_weight).sigmoid()
-        per_graph_mean = segment_mean(constants, batch.node_graph,
-                                      batch.num_graphs)
+        per_graph_mean = segment_mean(constants,
+                                      batch.workspace().pool_plan())
         binary = (constants.data
                   >= per_graph_mean.data[batch.node_graph]).astype(np.float64)
         keep = augmentation_probability_mask(binary, head_scores.data)
@@ -142,10 +142,10 @@ class SGCLModel(Module):
         with current().span("model/anchor_embed"):
             if self.config.use_semantic_readout:
                 constants = scores.constants
-                mean = segment_mean(constants, batch.node_graph,
-                                    batch.num_graphs)
-                weights = constants * gather(
-                    (mean + 1e-12) ** -1.0, batch.node_graph)
+                pool_plan = batch.workspace().pool_plan()
+                mean = segment_mean(constants, pool_plan)
+                weights = constants * gather((mean + 1e-12) ** -1.0,
+                                             pool_plan)
                 pooled = self.f_k.graph_representations(batch,
                                                         pool_weights=weights)
             else:  # ablation w/o SRL

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph import Graph
+from ..graph import Graph, MessagePassingWorkspace
 from ..gnn import GNNEncoder
 from ..tensor import Tensor, no_grad
 
@@ -42,7 +42,8 @@ def _node_representations(encoder: GNNEncoder, graph: Graph,
     encoder.eval()
     with no_grad():
         reps = encoder.node_representations(
-            Tensor(graph.x), graph.edge_index, graph.num_nodes,
+            Tensor(graph.x),
+            MessagePassingWorkspace(graph.edge_index, graph.num_nodes),
             node_weight=weight)
     encoder.train()
     return reps.data

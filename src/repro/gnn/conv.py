@@ -1,13 +1,14 @@
 """Graph convolution layers: GIN, GCN, GraphSAGE, GAT.
 
-All layers share the signature ``forward(x, edge_index, num_nodes,
-node_weight=None, workspace=None)`` where ``x`` is the ``(N, d)``
-node-feature Tensor and ``edge_index`` the ``(2, E)`` int ndarray of a
-(possibly batched) graph. ``workspace`` is an optional
-:class:`repro.graph.MessagePassingWorkspace` carrying cached scatter
-plans, the self-looped edge index and GCN normalisation weights for the
-batch topology; with it, a layer performs no per-call index arithmetic.
-Results are identical with or without it.
+All layers share the signature ``forward(x, workspace, node_weight=None)``
+where ``x`` is the ``(N, d)`` node-feature Tensor and ``workspace`` the
+:class:`repro.graph.MessagePassingWorkspace` of a (possibly batched)
+graph: its cached scatter plans, self-looped edge index and GCN
+normalisation weights are the layer's only view of the topology, so a
+layer performs no per-call index arithmetic. Use
+:meth:`repro.graph.Batch.workspace` for a batch, or
+``MessagePassingWorkspace(graph.edge_index, graph.num_nodes)`` for one
+graph.
 
 ``node_weight`` implements the paper's perturbation-mask mechanism (Eq. 14):
 a per-node multiplier applied to both a node's own contribution and to the
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graph import MessagePassingWorkspace
 from ..nn import Linear, MLP, Module, Parameter
 from ..tensor import Tensor, gather, segment_mean, segment_softmax, segment_sum
-from ..graph.transforms import add_self_loops, normalized_adjacency_weights
 
 __all__ = ["GINConv", "GCNConv", "SAGEConv", "GATConv", "CONV_TYPES"]
 
@@ -47,14 +48,11 @@ class GINConv(Module):
         self.mlp = MLP([in_dim, out_dim, out_dim], rng=rng,
                        batch_norm=batch_norm)
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
-                node_weight: Tensor | None = None, workspace=None) -> Tensor:
+    def forward(self, x: Tensor, workspace: MessagePassingWorkspace,
+                node_weight: Tensor | None = None) -> Tensor:
         x = _apply_node_weight(x, node_weight)
-        src, dst = edge_index
-        src_plan = workspace.plan("src") if workspace is not None else None
-        dst_plan = workspace.plan("dst") if workspace is not None else None
-        messages = gather(x, src, plan=src_plan)
-        aggregated = segment_sum(messages, dst, num_nodes, plan=dst_plan)
+        messages = gather(x, workspace.plan("src"))
+        aggregated = segment_sum(messages, workspace.plan("dst"))
         combined = x * (1.0 + self.eps) + aggregated
         out = self.mlp(combined)
         return _apply_node_weight(out, node_weight)
@@ -71,22 +69,13 @@ class GCNConv(Module):
         super().__init__()
         self.linear = Linear(in_dim, out_dim, rng=rng)
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
-                node_weight: Tensor | None = None, workspace=None) -> Tensor:
+    def forward(self, x: Tensor, workspace: MessagePassingWorkspace,
+                node_weight: Tensor | None = None) -> Tensor:
         x = _apply_node_weight(x, node_weight)
-        if workspace is not None:
-            looped = workspace.looped
-            norm = workspace.gcn_norm()
-            src_plan = workspace.plan("looped_src")
-            dst_plan = workspace.plan("looped_dst")
-        else:
-            looped = add_self_loops(edge_index, num_nodes)
-            norm = normalized_adjacency_weights(looped, num_nodes)
-            src_plan = dst_plan = None
-        src, dst = looped
         transformed = self.linear(x)
-        messages = gather(transformed, src, plan=src_plan) * Tensor(norm[:, None])
-        out = segment_sum(messages, dst, num_nodes, plan=dst_plan)
+        messages = (gather(transformed, workspace.plan("looped_src"))
+                    * Tensor(workspace.gcn_norm()[:, None]))
+        out = segment_sum(messages, workspace.plan("looped_dst"))
         return _apply_node_weight(out.relu(), node_weight)
 
 
@@ -98,14 +87,11 @@ class SAGEConv(Module):
         self.self_linear = Linear(in_dim, out_dim, rng=rng)
         self.neigh_linear = Linear(in_dim, out_dim, rng=rng)
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
-                node_weight: Tensor | None = None, workspace=None) -> Tensor:
+    def forward(self, x: Tensor, workspace: MessagePassingWorkspace,
+                node_weight: Tensor | None = None) -> Tensor:
         x = _apply_node_weight(x, node_weight)
-        src, dst = edge_index
-        src_plan = workspace.plan("src") if workspace is not None else None
-        dst_plan = workspace.plan("dst") if workspace is not None else None
-        neighbours = segment_mean(gather(x, src, plan=src_plan), dst,
-                                  num_nodes, plan=dst_plan)
+        neighbours = segment_mean(gather(x, workspace.plan("src")),
+                                  workspace.plan("dst"))
         out = self.self_linear(x) + self.neigh_linear(neighbours)
         return _apply_node_weight(out.relu(), node_weight)
 
@@ -115,9 +101,7 @@ class GATConv(Module):
 
     Attention logits ``e_ij = LeakyReLU(a_s·Wh_i + a_d·Wh_j)`` are
     softmax-normalised over each destination's incoming edges (self-loops
-    added). The per-edge attention of the *last* forward pass is cached in
-    ``last_attention`` — the Lipschitz constant generator's fast mode uses it
-    to approximate each node's contribution (paper §IV.B / §V complexity).
+    added).
     """
 
     def __init__(self, in_dim: int, out_dim: int, *, rng: np.random.Generator,
@@ -131,40 +115,27 @@ class GATConv(Module):
                         for _ in range(heads)]
         self.att_dst = [Parameter(rng.normal(0, 0.1, size=out_dim))
                         for _ in range(heads)]
-        self.last_attention: np.ndarray | None = None
-        self.last_edge_index: np.ndarray | None = None
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int,
-                node_weight: Tensor | None = None, workspace=None) -> Tensor:
+    def forward(self, x: Tensor, workspace: MessagePassingWorkspace,
+                node_weight: Tensor | None = None) -> Tensor:
         x = _apply_node_weight(x, node_weight)
-        if workspace is not None:
-            looped = workspace.looped
-            src_plan = workspace.plan("looped_src")
-            dst_plan = workspace.plan("looped_dst")
-        else:
-            looped = add_self_loops(edge_index, num_nodes)
-            src_plan = dst_plan = None
-        src, dst = looped
+        src_plan = workspace.plan("looped_src")
+        dst_plan = workspace.plan("looped_dst")
+        num_edges = len(src_plan.index)
         head_outputs = []
-        attention_sum = np.zeros(looped.shape[1])
         for linear, a_src, a_dst in zip(self.linears, self.att_src, self.att_dst):
             h = linear(x)
             # Per-node scores once, then scalar gathers per edge — one
             # (N,d)@(d,) matvec instead of two (E,d) gathers and matvecs.
-            logits = (gather(h @ a_src, src, plan=src_plan)
-                      + gather(h @ a_dst, dst, plan=dst_plan))
+            logits = gather(h @ a_src, src_plan) + gather(h @ a_dst, dst_plan)
             logits = logits.leaky_relu(self.negative_slope)
-            alpha = segment_softmax(logits, dst, num_nodes, plan=dst_plan)
-            attention_sum += alpha.data
-            messages = gather(h, src, plan=src_plan) * alpha.reshape(len(src), 1)
-            head_outputs.append(segment_sum(messages, dst, num_nodes,
-                                            plan=dst_plan))
+            alpha = segment_softmax(logits, dst_plan)
+            messages = gather(h, src_plan) * alpha.reshape(num_edges, 1)
+            head_outputs.append(segment_sum(messages, dst_plan))
         out = head_outputs[0]
         for extra in head_outputs[1:]:
             out = out + extra
         out = out * (1.0 / self.heads)
-        self.last_attention = attention_sum / self.heads
-        self.last_edge_index = looped
         return _apply_node_weight(out.relu(), node_weight)
 
 

@@ -3,8 +3,8 @@
 One layer measures the whole stack — SGCL pre-training, the baselines,
 evaluation, benchmarks and serving:
 
-* :class:`MetricsRegistry` — counters, gauges and reservoir histograms
-  (``repro.serve.Telemetry`` is a back-compat shim over it).
+* :class:`MetricsRegistry` — counters, gauges and reservoir histograms;
+  the serving layer records into it too.
 * :class:`Tracer` — nested timed spans (``pretrain/epoch``,
   ``lipschitz/generator``, ``augment/sample``, ``eval/svm``…), exportable
   as a span tree or per-name aggregate.

@@ -1,8 +1,7 @@
 """Metrics registry: counters, gauges and histogram series.
 
 The single metrics substrate for the whole system — training telemetry,
-the serving layer (``repro.serve.Telemetry`` is a thin shim over this
-class) and benchmark instrumentation all record into a
+the serving layer and benchmark instrumentation all record into a
 :class:`MetricsRegistry`. Three metric kinds are supported:
 
 * **counters** — monotonically increasing totals (``increment``/``count``);

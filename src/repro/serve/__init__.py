@@ -4,9 +4,9 @@ Turns a pre-trained encoder into a long-lived artifact and a service:
 ``save_checkpoint``/``load_checkpoint`` persist model + config + optimizer
 state to a versioned ``.npz`` bundle; :class:`EmbeddingService` answers
 ``embed(graphs)`` through a content-addressed LRU cache and a micro-batching
-queue; :class:`ModelRegistry` names several checkpoints under one directory;
-:class:`Telemetry` measures all of it (hit rates, batch sizes, latency
-percentiles via ``service.stats()``) — it is a shim over the shared
+queue; :class:`ModelRegistry` names several checkpoints under one directory.
+Each service measures its traffic (hit rates, batch sizes, latency
+percentiles via ``service.stats()``) in a plain
 :class:`repro.obs.MetricsRegistry`, so serving metrics land in the same
 substrate as training telemetry.
 """
@@ -23,7 +23,6 @@ from .checkpoint import (
 )
 from .registry import ModelRegistry
 from .service import EmbeddingService, PendingEmbedding, graph_digest
-from .telemetry import Telemetry
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -38,5 +37,4 @@ __all__ = [
     "PendingEmbedding",
     "graph_digest",
     "ModelRegistry",
-    "Telemetry",
 ]

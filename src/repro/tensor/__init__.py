@@ -12,7 +12,6 @@ from .tensor import (
 from .segment import (
     ScatterPlan,
     gather,
-    segment_count,
     segment_max,
     segment_mean,
     segment_softmax,
@@ -33,5 +32,4 @@ __all__ = [
     "segment_mean",
     "segment_max",
     "segment_softmax",
-    "segment_count",
 ]

@@ -5,11 +5,16 @@ and ``scatter_*``; these functions are the numpy/autodiff equivalents. All of
 them are differentiable with respect to the value tensor (never with respect
 to the integer index arrays).
 
-Conventions
------------
-* ``index`` arrays are 1-D ``int64`` ndarrays.
-* ``num_segments`` must be passed explicitly (it may exceed ``index.max()+1``
-  when a batch contains empty graphs).
+Routing
+-------
+Every op takes its routing as either a 1-D integer index array or a
+:class:`ScatterPlan`, and normalises it to a plan once at the top:
+
+* ``segment_*(values, index, num_segments=None)`` — with an index array,
+  ``num_segments`` is required (it may exceed ``index.max()+1`` when a
+  batch contains empty graphs); a plan carries its own segment count.
+* ``gather(values, index)`` routes rows of ``values``, so its segment count
+  is ``len(values)``.
 
 Kernel strategy
 ---------------
@@ -19,7 +24,8 @@ results are bit-identical, but ``bincount`` avoids ``add.at``'s generic
 buffered-ufunc path (~6× faster at message-passing sizes on this box).
 The flattened index depends only on ``(index, feature_width)``, so a
 :class:`ScatterPlan` caches it — one plan per (edge set, direction) serves
-every layer, epoch, and backward pass that routes over those edges.
+every layer, epoch, and backward pass that routes over those edges. An
+index array gets a throwaway plan that does the same arithmetic.
 """
 
 from __future__ import annotations
@@ -35,15 +41,7 @@ __all__ = [
     "segment_mean",
     "segment_max",
     "segment_softmax",
-    "segment_count",
 ]
-
-
-def _check_index(index: np.ndarray) -> np.ndarray:
-    index = np.asarray(index)
-    if index.ndim != 1:
-        raise ValueError(f"index must be 1-D, got shape {index.shape}")
-    return index.astype(np.int64, copy=False)
 
 
 def _bincount_rows(flat: np.ndarray, values: np.ndarray,
@@ -59,15 +57,19 @@ class ScatterPlan:
 
     Precomputes (lazily, per feature width) the flattened bin index that
     turns an N-D row scatter into a single 1-D ``np.bincount``, and caches
-    segment counts. Build one per edge direction on a batch and thread it
-    through :func:`gather` / :func:`segment_sum` / :func:`segment_softmax`
-    — forward and backward passes then skip all index arithmetic.
+    segment counts. Build one per edge direction on a batch and pass it as
+    the routing argument of :func:`gather` / :func:`segment_sum` /
+    :func:`segment_softmax` — forward and backward passes then skip all
+    index arithmetic.
     """
 
     __slots__ = ("index", "num_segments", "_flat", "_counts")
 
     def __init__(self, index: np.ndarray, num_segments: int):
-        self.index = _check_index(index)
+        index = np.asarray(index)
+        if index.ndim != 1:
+            raise ValueError(f"index must be 1-D, got shape {index.shape}")
+        self.index = index.astype(np.int64, copy=False)
         self.num_segments = int(num_segments)
         self._flat: dict[int, np.ndarray] = {}
         self._counts: np.ndarray | None = None
@@ -81,6 +83,7 @@ class ScatterPlan:
         return flat
 
     def counts(self) -> np.ndarray:
+        """Number of rows routed to each segment (float64)."""
         if self._counts is None:
             self._counts = np.bincount(
                 self.index, minlength=self.num_segments).astype(np.float64)
@@ -96,42 +99,36 @@ class ScatterPlan:
         return out.reshape((self.num_segments,) + values.shape[1:])
 
 
-def _scatter_sum(values: np.ndarray, index: np.ndarray,
-                 num_segments: int) -> np.ndarray:
-    """Plan-less scatter-add (flat index built on the fly)."""
-    if values.ndim == 1:
-        return _bincount_rows(index, values, num_segments)
-    width = int(np.prod(values.shape[1:]))
-    flat = (index[:, None] * width + np.arange(width, dtype=np.int64)).ravel()
-    out = _bincount_rows(flat, values, num_segments * width)
-    return out.reshape((num_segments,) + values.shape[1:])
+def _route(index: np.ndarray | ScatterPlan,
+           num_segments: int | None) -> ScatterPlan:
+    """Normalise a routing argument (index array or plan) to a plan."""
+    if isinstance(index, ScatterPlan):
+        if num_segments is not None and num_segments != index.num_segments:
+            raise ValueError(f"plan routes into {index.num_segments} "
+                             f"segments, not {num_segments}")
+        return index
+    if num_segments is None:
+        raise TypeError("num_segments is required with an index array")
+    return ScatterPlan(index, num_segments)
 
 
-def gather(values: Tensor, index: np.ndarray, *,
-           plan: ScatterPlan | None = None) -> Tensor:
+def gather(values: Tensor, index: np.ndarray | ScatterPlan) -> Tensor:
     """Select rows ``values[index]``; gradient scatter-adds back.
 
-    ``plan`` (if given) must route ``index`` into ``len(values)`` segments;
-    the backward scatter then reuses its cached flat index.
+    A plan must route into ``len(values)`` segments; the backward scatter
+    then reuses its cached flat index.
     """
     values = as_tensor(values)
-    if plan is not None:
-        index = plan.index
+    plan = _route(index, len(values.data))
 
-        def backward(out: Tensor) -> None:
-            values._accumulate(plan.scatter_sum(out.grad), own=True)
-    else:
-        index = _check_index(index)
+    def backward(out: Tensor) -> None:
+        values._accumulate(plan.scatter_sum(out.grad), own=True)
 
-        def backward(out: Tensor) -> None:
-            values._accumulate(
-                _scatter_sum(out.grad, index, len(values.data)), own=True)
-
-    return Tensor._make(values.data[index], (values,), backward)
+    return Tensor._make(values.data[plan.index], (values,), backward)
 
 
-def segment_sum(values: Tensor, index: np.ndarray, num_segments: int, *,
-                plan: ScatterPlan | None = None) -> Tensor:
+def segment_sum(values: Tensor, index: np.ndarray | ScatterPlan,
+                num_segments: int | None = None) -> Tensor:
     """Sum rows of ``values`` into ``num_segments`` buckets given by ``index``.
 
     ``out[s] = sum_{i : index[i] == s} values[i]`` — the core aggregation of
@@ -139,48 +136,37 @@ def segment_sum(values: Tensor, index: np.ndarray, num_segments: int, *,
     (nodes → graphs).
     """
     values = as_tensor(values)
-    if plan is not None:
-        index = plan.index
-        data = plan.scatter_sum(values.data)
-    else:
-        index = _check_index(index)
-        data = _scatter_sum(values.data, index, num_segments)
+    plan = _route(index, num_segments)
 
     def backward(out: Tensor) -> None:
-        values._accumulate(out.grad[index], own=True)
+        values._accumulate(out.grad[plan.index], own=True)
 
-    return Tensor._make(data, (values,), backward)
-
-
-def segment_count(index: np.ndarray, num_segments: int) -> np.ndarray:
-    """Number of rows routed to each segment (plain ndarray)."""
-    index = _check_index(index)
-    return np.bincount(index, minlength=num_segments).astype(np.float64)
+    return Tensor._make(plan.scatter_sum(values.data), (values,), backward)
 
 
-def segment_mean(values: Tensor, index: np.ndarray, num_segments: int, *,
-                 plan: ScatterPlan | None = None) -> Tensor:
+def segment_mean(values: Tensor, index: np.ndarray | ScatterPlan,
+                 num_segments: int | None = None) -> Tensor:
     """Mean-aggregate rows per segment; empty segments yield zeros."""
-    totals = segment_sum(values, index, num_segments, plan=plan)
-    counts = plan.counts() if plan is not None \
-        else segment_count(index, num_segments)
-    counts = np.maximum(counts, 1.0)
+    plan = _route(index, num_segments)
+    totals = segment_sum(values, plan)
+    counts = np.maximum(plan.counts(), 1.0)
     return totals * Tensor(1.0 / counts).reshape(
-        (num_segments,) + (1,) * (totals.ndim - 1))
+        (plan.num_segments,) + (1,) * (totals.ndim - 1))
 
 
-def segment_max(values: Tensor, index: np.ndarray, num_segments: int,
-                fill: float = 0.0, *,
-                plan: ScatterPlan | None = None) -> Tensor:
+def segment_max(values: Tensor, index: np.ndarray | ScatterPlan,
+                num_segments: int | None = None,
+                fill: float = 0.0) -> Tensor:
     """Max-aggregate rows per segment.
 
     Empty segments are filled with ``fill``. Gradient flows to the (first)
     argmax element per segment/feature, matching scatter-max semantics.
     """
     values = as_tensor(values)
-    index = plan.index if plan is not None else _check_index(index)
-    out_shape = (num_segments,) + values.shape[1:]
-    data = np.full(out_shape, -np.inf, dtype=np.float64)
+    plan = _route(index, num_segments)
+    index = plan.index
+    data = np.full((plan.num_segments,) + values.shape[1:], -np.inf,
+                   dtype=np.float64)
     np.maximum.at(data, index, values.data)
     empty = ~np.isfinite(data)
     data = np.where(empty, fill, data)
@@ -188,11 +174,7 @@ def segment_max(values: Tensor, index: np.ndarray, num_segments: int,
     def backward(out: Tensor) -> None:
         # Route gradient to entries equal to their segment max; split ties.
         winners = (values.data == data[index]) & ~empty[index]
-        winner_weights = winners.astype(np.float64)
-        if plan is not None:
-            tie_counts = plan.scatter_sum(winner_weights)
-        else:
-            tie_counts = _scatter_sum(winner_weights, index, num_segments)
+        tie_counts = plan.scatter_sum(winners.astype(np.float64))
         tie_counts = np.maximum(tie_counts, 1.0)
         grad = np.where(winners, out.grad[index] / tie_counts[index], 0.0)
         values._accumulate(grad, own=True)
@@ -200,8 +182,8 @@ def segment_max(values: Tensor, index: np.ndarray, num_segments: int,
     return Tensor._make(data, (values,), backward)
 
 
-def segment_softmax(values: Tensor, index: np.ndarray, num_segments: int, *,
-                    plan: ScatterPlan | None = None) -> Tensor:
+def segment_softmax(values: Tensor, index: np.ndarray | ScatterPlan,
+                    num_segments: int | None = None) -> Tensor:
     """Softmax over groups of rows sharing the same segment (GAT attention).
 
     Implemented as a composition of differentiable primitives, so it needs no
@@ -211,13 +193,10 @@ def segment_softmax(values: Tensor, index: np.ndarray, num_segments: int, *,
     ``Tensor.softmax``).
     """
     values = as_tensor(values)
-    index = plan.index if plan is not None else _check_index(index)
-    seg_max = segment_max(values, index, num_segments, fill=0.0, plan=plan)
-    shifted = values - gather(seg_max, index, plan=plan)
+    plan = _route(index, num_segments)
+    shifted = values - gather(segment_max(values, plan), plan)
     exps = shifted.exp()
-    denom = gather(segment_sum(exps, index, num_segments, plan=plan),
-                   index, plan=plan)
-    return exps / denom
+    return exps / gather(segment_sum(exps, plan), plan)
 
 
 # ----------------------------------------------------------------------

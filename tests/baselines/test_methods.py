@@ -9,6 +9,7 @@ from repro.baselines import NEURAL_METHODS, make_method
 from repro.data import load_dataset
 from repro.eval import embed_dataset
 from repro.graph import Batch
+from repro.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,19 @@ def test_adgcl_augmenter_not_in_encoder_optimizer(dataset):
     augmenter = {id(p) for p in model.edge_scorer.parameters()}
     main = {id(p) for p in model.optimizer.params}
     assert not augmenter & main
+
+
+@pytest.mark.parametrize("pooling", ["sum", "mean", "max"])
+def test_adgcl_view_readout_uses_encoder_pooling(pooling, dataset):
+    """With every edge kept, AD-GCL's view embedding is the anchor's."""
+    model = make_method("AD-GCL", dataset.num_features, pooling=pooling,
+                        seed=0)
+    model.eval()
+    batch = Batch(dataset.graphs[:4])
+    keep = Tensor(np.ones(batch.num_edges))
+    view = model._view_embeddings(batch, keep).data
+    anchor = model.projection(model.encoder.graph_representations(batch)).data
+    np.testing.assert_allclose(view, anchor, rtol=0, atol=1e-12)
 
 
 def test_simgrace_restores_weights_after_perturbation(dataset):

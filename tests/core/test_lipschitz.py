@@ -10,7 +10,7 @@ from repro.core import LipschitzConstantGenerator, topology_distance
 from repro.data import load_dataset
 from repro.eval import roc_auc
 from repro.gnn import GNNEncoder
-from repro.graph import Batch
+from repro.graph import Batch, MessagePassingWorkspace
 from repro.tensor import Tensor, no_grad
 
 from _helpers import make_path, make_triangle
@@ -36,15 +36,15 @@ def test_exact_matches_manual_leave_one_out(rng):
     with no_grad():
         constants = generator.node_constants(Batch([graph])).data
         encoder.eval()
+        workspace = MessagePassingWorkspace(graph.edge_index, 5)
         reference = encoder.node_representations(
-            Tensor(graph.x), graph.edge_index, 5).data
+            Tensor(graph.x), workspace).data
         topo = topology_distance(graph.degrees())
         for r in range(5):
             mask = np.ones(5)
             mask[r] = 0.0
             masked = encoder.node_representations(
-                Tensor(graph.x), graph.edge_index, 5,
-                node_weight=Tensor(mask)).data
+                Tensor(graph.x), workspace, node_weight=Tensor(mask)).data
             expected = np.linalg.norm(reference - masked) / topo[r]
             assert np.isclose(constants[r], expected, atol=1e-8), r
         encoder.train()

@@ -5,24 +5,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gnn import CONV_TYPES, GATConv, GINConv
-from repro.graph import Batch
+from repro.gnn import CONV_TYPES, GATConv, GINConv, GNNEncoder
+from repro.graph import Batch, MessagePassingWorkspace
 from repro.tensor import Tensor
 
 from _helpers import make_path, make_triangle
 
 
+def _ws(edge_index: np.ndarray, num_nodes: int) -> MessagePassingWorkspace:
+    return MessagePassingWorkspace(edge_index, num_nodes)
+
+
 @pytest.mark.parametrize("conv_name", sorted(CONV_TYPES))
 def test_forward_shape(conv_name, rng, triangle):
     conv = CONV_TYPES[conv_name](4, 8, rng=rng)
-    out = conv(Tensor(triangle.x), triangle.edge_index, 3)
+    out = conv(Tensor(triangle.x), _ws(triangle.edge_index, 3))
     assert out.shape == (3, 8)
 
 
 @pytest.mark.parametrize("conv_name", sorted(CONV_TYPES))
 def test_gradients_reach_parameters(conv_name, rng, triangle):
     conv = CONV_TYPES[conv_name](4, 8, rng=rng)
-    conv(Tensor(triangle.x), triangle.edge_index, 3).sum().backward()
+    conv(Tensor(triangle.x), _ws(triangle.edge_index, 3)).sum().backward()
     grads = [p.grad for p in conv.parameters()]
     assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
 
@@ -33,18 +37,19 @@ def test_permutation_equivariance(conv_name, rng):
     g = make_path(rng, n=5)
     conv = CONV_TYPES[conv_name](4, 8, rng=np.random.default_rng(7))
     conv.eval()
-    out = conv(Tensor(g.x), g.edge_index, 5).data
+    out = conv(Tensor(g.x), _ws(g.edge_index, 5)).data
     perm = np.random.default_rng(3).permutation(5)
     inverse = np.argsort(perm)
     permuted_edges = inverse[g.edge_index]
-    out_permuted = conv(Tensor(g.x[perm]), permuted_edges, 5).data
+    out_permuted = conv(Tensor(g.x[perm]), _ws(permuted_edges, 5)).data
     assert np.allclose(out_permuted, out[perm], atol=1e-8)
 
 
 def test_gin_mask_zeroes_masked_node(rng, triangle):
     conv = GINConv(4, 8, rng=rng, batch_norm=False)
     mask = Tensor(np.array([1.0, 0.0, 1.0]))
-    out = conv(Tensor(triangle.x), triangle.edge_index, 3, node_weight=mask)
+    out = conv(Tensor(triangle.x), _ws(triangle.edge_index, 3),
+               node_weight=mask)
     assert np.allclose(out.data[1], 0.0)
 
 
@@ -54,11 +59,11 @@ def test_gin_mask_blocks_messages(rng):
     g = make_path(rng, n=3)
     conv = GINConv(4, 8, rng=np.random.default_rng(5), batch_norm=False)
     mask = Tensor(np.array([1.0, 0.0, 1.0]))
-    masked = conv(Tensor(g.x), g.edge_index, 3, node_weight=mask).data
+    masked = conv(Tensor(g.x), _ws(g.edge_index, 3), node_weight=mask).data
     isolated = g.x.copy()
     isolated[1] = 0.0
     no_edges = np.zeros((2, 0), dtype=np.int64)
-    expected = conv(Tensor(isolated), no_edges, 3).data
+    expected = conv(Tensor(isolated), _ws(no_edges, 3)).data
     assert np.allclose(masked[0], expected[0], atol=1e-10)
 
 
@@ -71,7 +76,7 @@ def test_gin_aggregates_neighbour_sum(rng, triangle):
     expected_combined = triangle.x.copy()
     for s, d in zip(src, dst):
         expected_combined[d] += triangle.x[s]
-    out = conv(x, triangle.edge_index, 3)
+    out = conv(x, _ws(triangle.edge_index, 3))
     direct = conv.mlp(Tensor(expected_combined))
     assert np.allclose(out.data, direct.data, atol=1e-10)
 
@@ -79,7 +84,7 @@ def test_gin_aggregates_neighbour_sum(rng, triangle):
 def test_gcn_self_loop_only_graph(rng):
     conv = CONV_TYPES["gcn"](4, 6, rng=rng)
     x = rng.normal(size=(3, 4))
-    out = conv(Tensor(x), np.zeros((2, 0), dtype=np.int64), 3)
+    out = conv(Tensor(x), _ws(np.zeros((2, 0), dtype=np.int64), 3))
     assert out.shape == (3, 6)
     assert np.isfinite(out.data).all()
 
@@ -87,25 +92,16 @@ def test_gcn_self_loop_only_graph(rng):
 def test_sage_isolated_node_gets_zero_neighbour_term(rng):
     conv = CONV_TYPES["sage"](4, 6, rng=rng)
     x = rng.normal(size=(2, 4))
-    out = conv(Tensor(x), np.zeros((2, 0), dtype=np.int64), 2)
+    out = conv(Tensor(x), _ws(np.zeros((2, 0), dtype=np.int64), 2))
     expected = np.maximum(x @ conv.self_linear.weight.data
                           + conv.self_linear.bias.data
                           + conv.neigh_linear.bias.data, 0.0)
     assert np.allclose(out.data, expected)
 
 
-def test_gat_attention_cached_and_normalised(rng, triangle):
-    conv = GATConv(4, 8, rng=rng)
-    conv(Tensor(triangle.x), triangle.edge_index, 3)
-    assert conv.last_attention is not None
-    dst = conv.last_edge_index[1]
-    for node in range(3):
-        assert np.isclose(conv.last_attention[dst == node].sum(), 1.0)
-
-
 def test_gat_multihead_shape(rng, triangle):
     conv = GATConv(4, 8, rng=rng, heads=3)
-    out = conv(Tensor(triangle.x), triangle.edge_index, 3)
+    out = conv(Tensor(triangle.x), _ws(triangle.edge_index, 3))
     assert out.shape == (3, 8)
 
 
@@ -114,38 +110,11 @@ def test_batched_equals_individual(rng):
     a, b = make_triangle(rng), make_path(rng, n=4)
     conv = GINConv(4, 8, rng=np.random.default_rng(11), batch_norm=False)
     batch = Batch([a, b])
-    together = conv(Tensor(batch.x), batch.edge_index, batch.num_nodes).data
-    alone_a = conv(Tensor(a.x), a.edge_index, 3).data
-    alone_b = conv(Tensor(b.x), b.edge_index, 4).data
+    together = conv(Tensor(batch.x), batch.workspace()).data
+    alone_a = conv(Tensor(a.x), _ws(a.edge_index, 3)).data
+    alone_b = conv(Tensor(b.x), _ws(b.edge_index, 4)).data
     assert np.allclose(together[:3], alone_a, atol=1e-10)
     assert np.allclose(together[3:], alone_b, atol=1e-10)
-
-
-# ----------------------------------------------------------------------
-# Workspace fast path (PR 9): cached plans must not change numbers
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("conv_name", sorted(CONV_TYPES))
-def test_workspace_matches_planless(conv_name, rng):
-    from repro.graph import MessagePassingWorkspace
-
-    batch = Batch([make_triangle(rng), make_path(rng, n=5)])
-    workspace = MessagePassingWorkspace(batch.edge_index, batch.num_nodes)
-    conv = CONV_TYPES[conv_name](4, 8, rng=np.random.default_rng(11))
-    conv.eval()
-
-    x_ws = Tensor(batch.x, requires_grad=True)
-    x_plain = Tensor(batch.x, requires_grad=True)
-    out_ws = conv(x_ws, batch.edge_index, batch.num_nodes,
-                  workspace=workspace)
-    out_plain = conv(x_plain, batch.edge_index, batch.num_nodes)
-    assert np.array_equal(out_ws.data, out_plain.data)
-    out_ws.sum().backward()
-    out_plain.sum().backward()
-    assert np.array_equal(x_ws.grad, x_plain.grad)
-    # Workspace reuse across calls (different features, same topology).
-    again = conv(Tensor(batch.x * 2.0), batch.edge_index, batch.num_nodes,
-                 workspace=workspace)
-    assert again.shape == out_ws.shape
 
 
 def test_batch_workspace_is_cached_and_reused(rng):
@@ -159,14 +128,12 @@ def test_batch_workspace_is_cached_and_reused(rng):
 
 
 def test_encoder_batched_forward_matches_manual_edges(rng):
-    """Encoder forward (which now threads Batch.workspace) must equal the
-    workspace-free node_representations path bit for bit."""
-    from repro.gnn import GNNEncoder
-
+    """Encoder forward (through the cached Batch.workspace) must equal
+    node_representations over a fresh workspace bit for bit."""
     batch = Batch([make_triangle(rng), make_path(rng, n=6)])
     encoder = GNNEncoder(4, 8, 2, rng=np.random.default_rng(5))
     encoder.eval()
     via_batch = encoder(batch).data
     manual = encoder.node_representations(
-        Tensor(batch.x), batch.edge_index, batch.num_nodes).data
+        Tensor(batch.x), _ws(batch.edge_index, batch.num_nodes)).data
     assert np.array_equal(via_batch, manual)

@@ -233,6 +233,55 @@ def test_embed_reports_corrupt_checkpoint_path(tmp_path):
               "--scale", "0.1"])
 
 
+#: The other commands that open a checkpoint, each on a dataset whose
+#: feature count differs from MUTAG's 9 (community-1m has 32, PROTEINS 5).
+OTHER_CHECKPOINT_COMMANDS = {
+    "embed-node-level": ["embed", "--node-level", "--dataset",
+                         "community-1m", "--scale", "0.0005"],
+    "serve": ["serve", "--workers", "1", "--dataset", "PROTEINS",
+              "--scale", "0.1"],
+}
+
+
+@pytest.fixture(scope="module")
+def mutag_checkpoint(tmp_path_factory):
+    checkpoint = tmp_path_factory.mktemp("ckpt") / "gcl.npz"
+    main(["save", "--method", "GraphCL", "--dataset", "MUTAG",
+          "--epochs", "1", "--scale", "0.1", "--out", str(checkpoint)])
+    return checkpoint
+
+
+@pytest.mark.parametrize("command", list(OTHER_CHECKPOINT_COMMANDS))
+def test_checkpoint_commands_report_failing_checkpoint_path(command,
+                                                            tmp_path):
+    argv = OTHER_CHECKPOINT_COMMANDS[command]
+    missing = tmp_path / "nope.npz"
+    with pytest.raises(SystemExit,
+                       match=f"^{argv[0]}: cannot load checkpoint .*nope.npz"):
+        main(argv + ["--checkpoint", str(missing)])
+
+
+@pytest.mark.parametrize("command", list(OTHER_CHECKPOINT_COMMANDS))
+def test_checkpoint_commands_report_corrupt_checkpoint_path(command,
+                                                            tmp_path):
+    argv = OTHER_CHECKPOINT_COMMANDS[command]
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(b"not an archive at all")
+    with pytest.raises(SystemExit,
+                       match=f"^{argv[0]}: cannot load checkpoint .*bad.npz"):
+        main(argv + ["--checkpoint", str(bad)])
+
+
+@pytest.mark.parametrize("command", list(OTHER_CHECKPOINT_COMMANDS))
+def test_checkpoint_commands_reject_mismatched_features(command,
+                                                        mutag_checkpoint):
+    argv = OTHER_CHECKPOINT_COMMANDS[command]
+    with pytest.raises(SystemExit,
+                       match="^checkpoint expects 9 node features; "
+                             f"{argv[argv.index('--dataset') + 1]} has"):
+        main(argv + ["--checkpoint", str(mutag_checkpoint)])
+
+
 def test_main_translates_keyboard_interrupt_to_130(monkeypatch, capsys):
     import repro.cli as cli
 

@@ -1,11 +1,14 @@
-"""Tests for the shared metrics registry (and the serving Telemetry shim)."""
+"""Tests for the shared metrics registry."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from repro.gnn import GNNEncoder
 from repro.obs import MetricsRegistry
-from repro.serve import Telemetry
+from repro.serve import EmbeddingService
 
 
 def test_counters_and_gauges_are_independent_namespaces():
@@ -107,12 +110,13 @@ def test_merge_adds_counters_and_overwrites_gauges():
     assert a.gauge("level") == 9.0  # merged-in value wins
 
 
-def test_serving_telemetry_is_a_registry_shim():
-    telemetry = Telemetry(max_samples=16)
-    assert isinstance(telemetry, MetricsRegistry)
+def test_serving_telemetry_is_a_plain_registry():
+    encoder = GNNEncoder(3, 4, 1, rng=np.random.default_rng(0))
+    telemetry = EmbeddingService(encoder).telemetry
+    assert type(telemetry) is MetricsRegistry
     telemetry.increment("hits")
     telemetry.observe("latency", 0.5)
-    # The serving snapshot keeps its original two-key schema (no gauges).
+    # The serving snapshot is the registry's own, gauges included.
     snapshot = telemetry.snapshot()
-    assert set(snapshot) == {"counters", "series"}
+    assert set(snapshot) == {"counters", "gauges", "series"}
     assert snapshot["counters"] == {"hits": 1}

@@ -1,14 +1,16 @@
-"""Tests for the serving telemetry substrate."""
+"""Serving telemetry: the :class:`MetricsRegistry` surface the serving
+layer and ``embed --stats`` rely on (counters, series, percentiles,
+timers, reservoir bound, snapshot and reset)."""
 
 from __future__ import annotations
 
 import math
 
-from repro.serve import Telemetry
+from repro.obs import MetricsRegistry
 
 
 def test_counters_increment_and_default_to_zero():
-    t = Telemetry()
+    t = MetricsRegistry()
     assert t.count("requests") == 0
     t.increment("requests")
     t.increment("requests", 4)
@@ -16,7 +18,7 @@ def test_counters_increment_and_default_to_zero():
 
 
 def test_observe_and_percentiles():
-    t = Telemetry()
+    t = MetricsRegistry()
     for value in range(1, 101):
         t.observe("latency", value)
     assert t.percentile("latency", 50) == 50.5
@@ -28,7 +30,7 @@ def test_observe_and_percentiles():
 
 
 def test_empty_series_yields_nan():
-    t = Telemetry()
+    t = MetricsRegistry()
     assert math.isnan(t.percentile("nothing", 50))
     summary = t.summary("nothing")
     assert summary["count"] == 0
@@ -36,7 +38,7 @@ def test_empty_series_yields_nan():
 
 
 def test_timer_records_positive_duration():
-    t = Telemetry()
+    t = MetricsRegistry()
     with t.timer("block"):
         sum(range(1000))
     summary = t.summary("block")
@@ -45,7 +47,7 @@ def test_timer_records_positive_duration():
 
 
 def test_reservoir_is_bounded():
-    t = Telemetry(max_samples=10)
+    t = MetricsRegistry(max_samples=10)
     for value in range(100):
         t.observe("series", value)
     summary = t.summary("series")
@@ -54,7 +56,7 @@ def test_reservoir_is_bounded():
 
 
 def test_snapshot_and_reset():
-    t = Telemetry()
+    t = MetricsRegistry()
     t.increment("hits")
     t.observe("sizes", 3)
     snapshot = t.snapshot()
@@ -62,4 +64,4 @@ def test_snapshot_and_reset():
     assert snapshot["series"]["sizes"]["count"] == 1
     t.reset()
     assert t.count("hits") == 0
-    assert t.snapshot() == {"counters": {}, "series": {}}
+    assert t.snapshot() == {"counters": {}, "gauges": {}, "series": {}}

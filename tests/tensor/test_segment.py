@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tensor import (
+    ScatterPlan,
     Tensor,
     gather,
-    segment_count,
     segment_max,
     segment_mean,
     segment_softmax,
@@ -112,7 +112,8 @@ def test_gather_rejects_2d_index(rng):
 
 
 def test_segment_count():
-    assert segment_count(np.array([0, 0, 2]), 4).tolist() == [2, 0, 1, 0]
+    plan = ScatterPlan(np.array([0, 0, 2]), 4)
+    assert plan.counts().tolist() == [2, 0, 1, 0]
 
 
 def test_segment_softmax_sums_to_one_per_segment(rng):
@@ -188,23 +189,18 @@ def test_segment_softmax_rows_sum_to_one(rng):
 
 
 def test_scatter_plan_matches_planless(rng):
-    from repro.tensor import ScatterPlan
-
+    """A plan and an index array plus segment count route identically."""
     values = rng.normal(size=(14, 3))
     scalars = rng.normal(size=14)
     index = rng.integers(5, size=14)
     plan = ScatterPlan(index, 5)
 
-    for make in (
-        lambda v, p: segment_sum(v, index, 5, plan=p),
-        lambda v, p: segment_mean(v, index, 5, plan=p),
-        lambda v, p: segment_max(v, index, 5, plan=p),
-    ):
+    for op in (segment_sum, segment_mean, segment_max):
         for payload in (values, scalars):
             with_plan = Tensor(payload, requires_grad=True)
             without = Tensor(payload, requires_grad=True)
-            out_plan = make(with_plan, plan)
-            out_none = make(without, None)
+            out_plan = op(with_plan, plan)
+            out_none = op(without, index, 5)
             assert np.array_equal(out_plan.data, out_none.data)
             out_plan.sum().backward()
             out_none.sum().backward()
@@ -212,8 +208,6 @@ def test_scatter_plan_matches_planless(rng):
 
 
 def test_scatter_plan_gather_and_softmax_match(rng):
-    from repro.tensor import ScatterPlan, gather as g
-
     node_values = rng.normal(size=(5, 2))
     edge_values = rng.normal(size=14)
     index = rng.integers(5, size=14)
@@ -221,7 +215,7 @@ def test_scatter_plan_gather_and_softmax_match(rng):
 
     a = Tensor(node_values, requires_grad=True)
     b = Tensor(node_values, requires_grad=True)
-    out_plan, out_none = g(a, index, plan=plan), g(b, index)
+    out_plan, out_none = gather(a, plan), gather(b, index)
     assert np.array_equal(out_plan.data, out_none.data)
     (out_plan * out_plan).sum().backward()
     (out_none * out_none).sum().backward()
@@ -229,7 +223,7 @@ def test_scatter_plan_gather_and_softmax_match(rng):
 
     c = Tensor(edge_values, requires_grad=True)
     d = Tensor(edge_values, requires_grad=True)
-    soft_plan = segment_softmax(c, index, 5, plan=plan)
+    soft_plan = segment_softmax(c, plan)
     soft_none = segment_softmax(d, index, 5)
     assert np.array_equal(soft_plan.data, soft_none.data)
     (soft_plan * Tensor(edge_values)).sum().backward()
@@ -238,10 +232,23 @@ def test_scatter_plan_gather_and_softmax_match(rng):
 
 
 def test_scatter_plan_rejects_out_of_range_index(rng):
-    from repro.tensor import ScatterPlan
-
     plan = ScatterPlan(np.array([0, 1, 5]), 3)  # 5 >= num_segments
     with pytest.raises(IndexError):
         plan.scatter_sum(np.ones(3))
     with pytest.raises(IndexError):
         segment_sum(Tensor(np.ones((3, 2))), np.array([0, 1, 5]), 3)
+
+
+def test_routing_argument_is_an_index_array_or_a_plan(rng):
+    """An index array needs a segment count; a plan carries its own."""
+    values = Tensor(rng.normal(size=(3, 2)))
+    index = np.array([0, 1, 1])
+    plan = ScatterPlan(index, 4)
+    assert segment_sum(values, plan).shape == (4, 2)
+    assert segment_sum(values, plan, 4).shape == (4, 2)
+    with pytest.raises(ValueError):
+        segment_sum(values, plan, 3)
+    with pytest.raises(TypeError):
+        segment_sum(values, index)
+    with pytest.raises(ValueError):
+        gather(values, plan)  # routes into 4 rows, values has 3
