@@ -1,16 +1,14 @@
-"""Parallel runtime demo: prefetching, seed fan-out, precompute cache.
+"""Parallel runtime demo: seed fan-out and the precompute cache.
 
-Walks through the three pieces of ``repro.runtime`` on a small SGCL
+Walks through the two pieces of ``repro.runtime`` on a small SGCL
 workload and demonstrates the determinism contract — every worker count
 produces bit-identical numbers, parallelism only moves wall-time:
 
-1. pre-training with background batch prefetching (``PrefetchLoader`` via
-   ``SGCLConfig.prefetch_batches``) checked against the plain loader;
-2. multi-seed unsupervised evaluation fanned out over 2 worker processes
+1. multi-seed unsupervised evaluation fanned out over 2 worker processes
    (``run_unsupervised(workers=2)``) checked against the serial run;
-3. Lipschitz-constant precompute under the frozen generator served twice
-   from a content-addressed ``PrecomputeCache`` — the second pass never
-   touches the encoder.
+2. Lipschitz-constant precompute under the frozen generator of a
+   pre-trained model, served twice from a content-addressed
+   ``PrecomputeCache`` — the second pass never touches the encoder.
 
 Run from the repository root::
 
@@ -35,20 +33,7 @@ def main() -> None:
     dataset = load_dataset("MUTAG", seed=0, scale=0.15)
     workers = max(2, resolve_workers())
 
-    # 1. Prefetching: same seed, with and without a background loader.
-    plain = SGCLTrainer(dataset.num_features,
-                        SGCLConfig(epochs=2, batch_size=32, seed=0))
-    prefetched = SGCLTrainer(
-        dataset.num_features,
-        SGCLConfig(epochs=2, batch_size=32, seed=0, prefetch_batches=2))
-    history_a = plain.pretrain(dataset.graphs)
-    history_b = prefetched.pretrain(dataset.graphs)
-    drift = max(abs(a["loss"] - b["loss"])
-                for a, b in zip(history_a, history_b))
-    print(f"prefetch loss drift across {len(history_a)} epochs: {drift}"
-          f"  (must be exactly 0.0)")
-
-    # 2. Seed fan-out: serial vs parallel evaluation of the same cells.
+    # 1. Seed fan-out: serial vs parallel evaluation of the same cells.
     settings = dict(seeds=[0, 1], scale=0.1, epochs=1, folds=3)
     start = time.perf_counter()
     serial = run_unsupervised("SGCL", "MUTAG", workers=1, **settings)
@@ -62,11 +47,14 @@ def main() -> None:
     print(f"  parallel mean±std: {parallel[0]:.2f} ± {parallel[1]:.2f} %")
     assert serial == parallel, "worker count must never change results"
 
-    # 3. Content-addressed precompute cache for frozen-generator K_V.
+    # 2. Content-addressed precompute cache for frozen-generator K_V.
+    trainer = SGCLTrainer(dataset.num_features,
+                          SGCLConfig(epochs=2, batch_size=32, seed=0))
+    trainer.pretrain(dataset.graphs)
     cache = PrecomputeCache(Path("runs") / "precompute-cache")
     for attempt in ("cold", "warm"):
         start = time.perf_counter()
-        constants = prefetched.precompute_lipschitz(
+        constants = trainer.precompute_lipschitz(
             dataset.graphs, workers=workers, cache=cache)
         seconds = time.perf_counter() - start
         print(f"K_V precompute ({attempt}): {len(constants)} graphs "

@@ -53,8 +53,8 @@ NEURAL_METHODS: dict[str, Callable] = {
     "SGCL w/o VG": _sgcl_variant(augmentation="random"),
     "SGCL w/o LGA": _sgcl_variant(augmentation="learnable"),
     "SGCL w/o SRL": _sgcl_variant(use_semantic_readout=False),
-    "SGCL w/o Lc": _sgcl_variant(use_complement_loss=False, lambda_c=0.0),
-    "SGCL w/o LW": _sgcl_variant(use_weight_reg=False, lambda_w=0.0),
+    "SGCL w/o Lc": _sgcl_variant(lambda_c=0.0),
+    "SGCL w/o LW": _sgcl_variant(lambda_w=0.0),
 }
 
 KERNEL_METHODS: dict[str, Callable] = {

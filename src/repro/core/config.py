@@ -13,10 +13,11 @@ class SGCLConfig:
 
     The defaults are the paper's tuned values for the unsupervised TU
     experiments: 3-layer GIN with hidden width 32, ρ=0.9, λ_c=λ_W=0.01,
-    τ=0.2, Adam lr=0.001. The ``use_*`` flags implement the Table V
-    ablations; setting ``augmentation`` switches the view generator
-    (``"lipschitz"`` = full SGCL, ``"random"`` = SGCL w/o VG,
-    ``"learnable"`` = SGCL w/o LGA).
+    τ=0.2, Adam lr=0.001. The Table V ablations: ``lambda_c=0`` drops
+    L_c (SGCL w/o Lc), ``lambda_w=0`` drops Θ_W (SGCL w/o LW),
+    ``use_semantic_readout=False`` drops SRL, and ``augmentation``
+    switches the view generator (``"lipschitz"`` = full SGCL,
+    ``"random"`` = SGCL w/o VG, ``"learnable"`` = SGCL w/o LGA).
     """
 
     # Encoder architecture (f_q and f_k share it; parameters are unshared).
@@ -57,23 +58,13 @@ class SGCLConfig:
     # empirically; DESIGN.md §5).
     detach_semantics: bool = True
 
-    # Ablation switches (Table V).
-    use_semantic_readout: bool = True   # SRL: Eq. 21's K_V-weighted pooling
-    use_complement_loss: bool = True    # L_c (Eq. 25)
-    use_weight_reg: bool = True         # Θ_W (Eq. 26)
-    soft_view_weighting: bool = True    # gradient pathway for the prob head
+    # Ablation switch (Table V): SRL, Eq. 21's K_V-weighted pooling.
+    use_semantic_readout: bool = True
 
     # Optimisation (§VI.A.3).
     lr: float = 1e-3
     batch_size: int = 128
     epochs: int = 40
-    generator_batch_size: int = 16
-
-    # Runtime. With prefetch_batches > 0 the pre-training loop assembles
-    # up to that many mini-batches on a background thread
-    # (repro.runtime.PrefetchLoader); batch order and shuffle streams are
-    # unchanged, so this is a pure wall-time knob.
-    prefetch_batches: int = 0
 
     # Where SGCLTrainer.precompute_lipschitz keeps its content-addressed
     # K_V cache (repro.runtime.PrecomputeCache) when the caller does not

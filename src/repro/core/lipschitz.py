@@ -94,16 +94,12 @@ class LipschitzConstantGenerator(Module):
         the resulting distances measure the batch composition, not the
         dropped node (empirically this destroys the semantic signal).
         """
-        was_training = self.encoder.training
-        self.encoder.eval()
-        try:
-            with current().span("lipschitz/generator"):
-                with current().span(f"lipschitz/{self.mode}"):
-                    if self.mode == "exact":
-                        return self._exact_constants(batch)
-                    return self._approx_constants(batch)
-        finally:
-            self.encoder.train(was_training)
+        with self.encoder.evaluating(), \
+                current().span("lipschitz/generator"), \
+                current().span(f"lipschitz/{self.mode}"):
+            if self.mode == "exact":
+                return self._exact_constants(batch)
+            return self._approx_constants(batch)
 
     def node_representations(self, batch: Batch) -> Tensor:
         """The generator's node representations ``H^{(l)}`` (Eq. 12 input).

@@ -167,15 +167,13 @@ class SGCLModel(Module):
 
     # ------------------------------------------------------------------
     def _soft_view_weights(self, views: Batch,
-                           scores: SemanticScores) -> Tensor | None:
+                           scores: SemanticScores) -> Tensor:
         """Gather each surviving view node's keep probability (Tensor).
 
         Semantic-related nodes have P=1 so they pass unscaled; kept
         semantic-unrelated nodes are scaled by σ(h w^T), through which the
         probability head receives gradient.
         """
-        if not self.config.soft_view_weighting:
-            return None
         binary = Tensor(scores.binary)
         keep_tensor = binary + (1.0 - binary) * scores.head_scores
         return gather(keep_tensor, views.parent_nodes)
@@ -208,14 +206,14 @@ class SGCLModel(Module):
                                            self.edge_weight, rng)
             total = total + config.lambda_g * loss_g
             stats["loss_g"] = loss_g.item()
-        if contrast and config.use_complement_loss and config.lambda_c > 0:
+        if contrast and config.lambda_c > 0:
             z_anchor, z_view, complements = contrast
             z_complement = self.view_embeddings(complements)
             loss_c = complement_loss(z_anchor, z_view, z_complement,
                                      config.tau)
             total = total + config.lambda_c * loss_c
             stats["loss_c"] = loss_c.item()
-        if config.use_weight_reg and config.lambda_w > 0:
+        if config.lambda_w > 0:
             reg = weight_regularizer(self)
             total = total + config.lambda_w * reg
             stats["theta_w"] = reg.item()

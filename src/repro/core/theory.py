@@ -39,13 +39,11 @@ def _node_representations(encoder: GNNEncoder, graph: Graph,
                           node_mask: np.ndarray | None = None) -> np.ndarray:
     """Encoder node reps; ``node_mask`` applies the Eq. 14 mask mechanism."""
     weight = None if node_mask is None else Tensor(node_mask.astype(float))
-    encoder.eval()
-    with no_grad():
+    with encoder.evaluating(), no_grad():
         reps = encoder.node_representations(
             Tensor(graph.x),
             MessagePassingWorkspace(graph.edge_index, graph.num_nodes),
             node_weight=weight)
-    encoder.train()
     return reps.data
 
 

@@ -303,11 +303,6 @@ class SGCLTrainer(PretrainLoop):
     def _epoch_batches(self, graphs: Sequence[Graph]):
         loader = DataLoader(graphs, self.config.batch_size, shuffle=True,
                             rng=self._shuffle_rng)
-        if self.config.prefetch_batches > 0:
-            from ..runtime import PrefetchLoader
-
-            loader = PrefetchLoader(
-                loader, prefetch=self.config.prefetch_batches)
         return (batch for batch in loader if batch.num_graphs >= 2)
 
     def _batch_loss(self, batch):

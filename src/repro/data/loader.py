@@ -25,13 +25,10 @@ class DataLoader:
         Reshuffle at the start of every epoch.
     rng:
         Seeded generator used for shuffling; required when ``shuffle=True``.
-    drop_last:
-        Drop the final short batch (contrastive losses need ≥2 graphs).
     """
 
     def __init__(self, graphs: Sequence[Graph], batch_size: int, *,
-                 shuffle: bool = False, rng: np.random.Generator | None = None,
-                 drop_last: bool = False):
+                 shuffle: bool = False, rng: np.random.Generator | None = None):
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if shuffle and rng is None:
@@ -40,13 +37,9 @@ class DataLoader:
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.rng = rng
-        self.drop_last = drop_last
 
     def __len__(self) -> int:
-        n = len(self.graphs)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return -(-len(self.graphs) // self.batch_size)
 
     def __iter__(self) -> Iterator[Batch]:
         order = np.arange(len(self.graphs))
@@ -54,6 +47,4 @@ class DataLoader:
             self.rng.shuffle(order)
         for start in range(0, len(order), self.batch_size):
             chunk = order[start:start + self.batch_size]
-            if self.drop_last and len(chunk) < self.batch_size:
-                break
             yield Batch([self.graphs[i] for i in chunk])

@@ -39,13 +39,11 @@ def embed_nodes(encoder, dataset, node_ids, *, seed: int = 0, hops: int = 2,
                            fanout=fanout) for node_id in node_ids]
     if service is not None:
         return service.embed(graphs)
-    encoder.eval()
     chunks = []
-    with no_grad(), current().span("eval/embed_nodes"):
+    with encoder.evaluating(), no_grad(), current().span("eval/embed_nodes"):
         for start in range(0, len(graphs), batch_size):
             batch = Batch(graphs[start:start + batch_size])
             chunks.append(encoder.graph_representations(batch).data)
-    encoder.train()
     return np.concatenate(chunks, axis=0)
 
 

@@ -55,13 +55,11 @@ def embed_dataset(encoder: GNNEncoder, dataset, batch_size: int = 128,
                 "embed_kwargs are incompatible with the embedding cache; "
                 "call the encoder directly instead")
         return service.embed(dataset)
-    encoder.eval()
     chunks = []
-    with no_grad(), current().span("eval/embed"):
+    with encoder.evaluating(), no_grad(), current().span("eval/embed"):
         for batch in DataLoader(dataset, batch_size):
             chunks.append(
                 encoder.graph_representations(batch, **embed_kwargs).data)
-    encoder.train()
     return np.concatenate(chunks, axis=0)
 
 
@@ -134,11 +132,9 @@ def _eval_logits(encoder, head, dataset, indices):
     would otherwise turn them into a plausible-looking score.
     """
     batches = list(DataLoader([dataset[i] for i in indices], 128))
-    encoder.eval()
-    with no_grad():
+    with encoder.evaluating(), no_grad():
         logits = np.concatenate([head(encoder.graph_representations(b)).data
                                  for b in batches])
-    encoder.train()
     if not np.isfinite(logits).all():
         raise NumericsError("non-finite evaluation logits after fine-tuning")
     return logits, np.concatenate([_float_labels(b) for b in batches])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
@@ -74,6 +75,17 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
+
+    @contextmanager
+    def evaluating(self) -> Iterator["Module"]:
+        """Run the block in eval mode, then restore the caller's mode —
+        also when the block raises."""
+        was_training = self.training
+        self.eval()
+        try:
+            yield self
+        finally:
+            self.train(was_training)
 
     def zero_grad(self) -> None:
         for param in self.parameters():

@@ -1,12 +1,10 @@
-"""Parallel runtime: worker pools, prefetching loaders, precompute cache.
+"""Parallel runtime: worker pools and the precompute cache.
 
 The execution substrate behind every ``--workers`` flag:
 
 * :class:`ParallelExecutor` — deterministic process-pool map (contiguous
   chunking, per-task seeds derived from the run seed, bounded retries,
   serial fallback when ``workers <= 1`` or the platform lacks ``fork``).
-* :class:`PrefetchLoader` — background batch assembly over a bounded
-  queue, preserving exact batch order and shuffle determinism.
 * :class:`PrecomputeCache` — content-addressed on-disk store for static
   per-graph quantities (keys: graph fingerprint + config hash; atomic
   writes).
@@ -26,7 +24,6 @@ from .executor import (
     resolve_workers,
     task_seeds,
 )
-from .prefetch import PrefetchLoader
 from .precompute import (
     generator_spec,
     graph_statics,
@@ -40,7 +37,6 @@ __all__ = [
     "fork_available",
     "resolve_workers",
     "task_seeds",
-    "PrefetchLoader",
     "PrecomputeCache",
     "config_hash",
     "graph_fingerprint",

@@ -4,8 +4,7 @@
 stream of :class:`~repro.graph.Batch` objects, reusing the runtime
 substrate end to end: per-subgraph seeds come from
 :func:`repro.runtime.task_seeds`, sampling fans out through
-:class:`repro.runtime.ParallelExecutor`, and batch assembly overlaps
-with training through :class:`repro.runtime.PrefetchLoader`.
+:class:`repro.runtime.ParallelExecutor`.
 
 Seed architecture (the determinism contract tests pin down)::
 
@@ -14,7 +13,7 @@ Seed architecture (the determinism contract tests pin down)::
     task_seeds(base, samples_per_epoch)     → one seed per subgraph
 
 Every subgraph therefore depends only on ``(stream_seed, epoch, index)``
-— never on worker count, prefetch depth, or how many epochs ran before —
+— never on worker count or how many epochs ran before —
 so a resumed run's epoch ``e`` is bit-identical to an uninterrupted
 run's, and ``repro sample`` can reproduce any single subgraph offline.
 
@@ -31,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import current
-from ..runtime import ParallelExecutor, PrefetchLoader, task_seeds
+from ..runtime import ParallelExecutor, task_seeds
 from ..graph import Batch
 from .samplers import SubgraphSampler
 
@@ -59,8 +58,6 @@ class SubgraphStream:
         Stream seed — the only source of randomness (see module docs).
     executor:
         Optional :class:`ParallelExecutor` for fan-out; default serial.
-    prefetch:
-        Batches assembled ahead of the consumer (0 disables).
     norm_samples:
         Pilot size for the inclusion-frequency estimate.
     """
@@ -68,7 +65,7 @@ class SubgraphStream:
     def __init__(self, sampler: SubgraphSampler, *,
                  samples_per_epoch: int = 64, batch_size: int = 8,
                  seed: int = 0, executor: ParallelExecutor | None = None,
-                 prefetch: int = 0, norm_samples: int = 100):
+                 norm_samples: int = 100):
         if samples_per_epoch < 1 or batch_size < 1:
             raise ValueError("samples_per_epoch and batch_size must be >= 1")
         self.sampler = sampler
@@ -76,7 +73,6 @@ class SubgraphStream:
         self.batch_size = batch_size
         self.seed = seed
         self.executor = executor or ParallelExecutor(workers=1)
-        self.prefetch = prefetch
         self.norm_samples = norm_samples
         self._node_norms: np.ndarray | None = None
 
@@ -117,7 +113,13 @@ class SubgraphStream:
             yield from self.executor.map(
                 self.sampler.sample, seeds[start:start + self.batch_size])
 
-    def _assemble(self, epoch: int):
+    def batches(self, epoch: int = 0):
+        """Lazily yield epoch ``epoch`` as ``(Batch, node_norm_weights)``
+        pairs.
+
+        Sampling runs through the executor, chunked one minibatch at a
+        time so memory stays flat.
+        """
         seeds = task_seeds(_derive_seed(self.seed, epoch + 1),
                            self.samples_per_epoch)
         norms = self.node_norms()
@@ -129,16 +131,3 @@ class SubgraphStream:
             batch_norms = np.concatenate(
                 [norms[g.meta["node_id"]] for g in graphs])
             yield batch, batch_norms
-
-    def batches(self, epoch: int = 0):
-        """Epoch ``epoch`` as ``(Batch, node_norm_weights)`` pairs.
-
-        Sampling runs through the executor (chunked one minibatch at a
-        time so memory stays flat); with ``prefetch > 0`` assembly runs
-        on a :class:`PrefetchLoader` producer thread while the consumer
-        trains on the previous batch.
-        """
-        iterator = self._assemble(epoch)
-        if self.prefetch > 0:
-            return PrefetchLoader(iterator, prefetch=self.prefetch)
-        return iterator

@@ -67,6 +67,30 @@ class CheckpointIntegrityError(ValueError):
     """A checkpoint's array payload does not match its stored checksum."""
 
 
+def _current_config_fields(raw: dict) -> dict:
+    """Map a stored config dict that still carries retired
+    :class:`SGCLConfig` fields onto today's fields.
+
+    ``generator_batch_size`` (never read) and ``prefetch_batches``
+    (wall-time only) are dropped whatever they hold. The L_c and Θ_W
+    ablation flags become ``lambda_c=0`` / ``lambda_w=0``. The hard-view
+    ablation ``soft_view_weighting=False`` has no current equivalent and
+    raises :class:`ValueError`.
+    """
+    raw = dict(raw)
+    raw.pop("generator_batch_size", None)
+    raw.pop("prefetch_batches", None)
+    if not raw.pop("soft_view_weighting", True):
+        raise ValueError(
+            "checkpoint config sets soft_view_weighting=False; hard "
+            "(unweighted) views are no longer supported")
+    if not raw.pop("use_complement_loss", True):
+        raw["lambda_c"] = 0.0
+    if not raw.pop("use_weight_reg", True):
+        raw["lambda_w"] = 0.0
+    return raw
+
+
 def _arrays_checksum(arrays: dict[str, np.ndarray]) -> str:
     """sha256 over the array payload (key, dtype, shape, bytes; sorted).
 
@@ -250,7 +274,8 @@ class Checkpoint:
     def config(self) -> SGCLConfig | None:
         """The stored hyper-parameters as an :class:`SGCLConfig` (or None)."""
         raw = self.header["config"]
-        return None if raw is None else SGCLConfig(**raw)
+        return (None if raw is None
+                else SGCLConfig(**_current_config_fields(raw)))
 
     @property
     def rng_state(self) -> dict | None:

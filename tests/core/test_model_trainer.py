@@ -95,8 +95,7 @@ def test_loss_components_and_finiteness(mutag, rng):
 
 
 def test_ablation_flags_remove_components(mutag, rng):
-    config = SGCLConfig(use_complement_loss=False, use_weight_reg=False,
-                        lambda_g=0.0)
+    config = SGCLConfig(lambda_c=0.0, lambda_w=0.0, lambda_g=0.0)
     model = SGCLModel(mutag.num_features, config, rng=rng)
     _, stats = model.loss(_batch(mutag), np.random.default_rng(0))
     assert "loss_c" not in stats
@@ -107,8 +106,7 @@ def test_ablation_flags_remove_components(mutag, rng):
 def test_detach_semantics_blocks_contrastive_gradient_to_fq(mutag, rng):
     # Θ_W (Eq. 26) spans all parameters including f_q's, so disable it to
     # isolate the contrastive pathway.
-    config = SGCLConfig(lambda_g=0.0, detach_semantics=True,
-                        use_weight_reg=False)
+    config = SGCLConfig(lambda_g=0.0, detach_semantics=True, lambda_w=0.0)
     model = SGCLModel(mutag.num_features, config, rng=rng)
     loss, _ = model.loss(_batch(mutag), np.random.default_rng(0))
     loss.backward()
@@ -119,8 +117,7 @@ def test_detach_semantics_blocks_contrastive_gradient_to_fq(mutag, rng):
 
 
 def test_without_detach_gradient_reaches_fq(mutag, rng):
-    config = SGCLConfig(lambda_g=0.0, detach_semantics=False,
-                        use_weight_reg=False)
+    config = SGCLConfig(lambda_g=0.0, detach_semantics=False, lambda_w=0.0)
     model = SGCLModel(mutag.num_features, config, rng=rng)
     loss, _ = model.loss(_batch(mutag), np.random.default_rng(0))
     loss.backward()

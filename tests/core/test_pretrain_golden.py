@@ -88,8 +88,6 @@ CASES = {
                        "492a700a8156bbfe", "5f866cdd341ffd2f"),
     "sgcl-exact": (lambda: _graph_sgcl(lipschitz_mode="exact"),
                    "7c48ab1337700df8", "974cc9e926fd9046"),
-    "sgcl-hard-views": (lambda: _graph_sgcl(soft_view_weighting=False),
-                        "296759b3853e8e90", "41783934f0088803"),
     "sgcl-rho-1": (lambda: _graph_sgcl(rho=1.0),
                    "62c258b211e77a23", "e04f94245dca9167"),
     "sgcl-gcn-rho-0.6": (lambda: _graph_sgcl(conv="gcn", rho=0.6),

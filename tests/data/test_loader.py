@@ -1,8 +1,8 @@
-"""DataLoader ``drop_last`` / ``__len__`` regression suite.
+"""DataLoader ``__len__`` regression suite.
 
 ``len(loader)`` must agree with the number of batches iteration actually
-yields for every combination of corpus size, batch size and ``drop_last``
-mode — including the degenerate corners (corpus smaller than one batch,
+yields for every combination of corpus size and batch size, shuffled or
+not — including the degenerate corners (corpus smaller than one batch,
 corpus an exact multiple of the batch size, empty corpus).
 """
 
@@ -22,46 +22,13 @@ def _graphs(rng, n):
 
 @pytest.mark.parametrize("num_graphs", [0, 1, 3, 4, 5, 8, 9])
 @pytest.mark.parametrize("batch_size", [1, 2, 4, 16])
-@pytest.mark.parametrize("drop_last", [False, True])
-def test_len_agrees_with_iteration(rng, num_graphs, batch_size, drop_last):
+@pytest.mark.parametrize("shuffle", [False, True], ids=["False", "shuffled"])
+def test_len_agrees_with_iteration(rng, num_graphs, batch_size, shuffle):
     loader = DataLoader(_graphs(rng, num_graphs), batch_size,
-                        drop_last=drop_last)
+                        shuffle=shuffle, rng=np.random.default_rng(3))
     batches = list(loader)
     assert len(loader) == len(batches)
-    if drop_last:
-        assert all(b.num_graphs == batch_size for b in batches)
-    else:
-        assert sum(b.num_graphs for b in batches) == num_graphs
-
-
-def test_drop_last_discards_only_the_short_tail(rng):
-    loader = DataLoader(_graphs(rng, 10), 4, drop_last=True)
-    batches = list(loader)
-    assert [b.num_graphs for b in batches] == [4, 4]
-    assert sum(b.num_graphs for b in batches) == 8
-
-
-def test_drop_last_keeps_exact_multiple(rng):
-    loader = DataLoader(_graphs(rng, 8), 4, drop_last=True)
-    assert len(loader) == 2
-    assert [b.num_graphs for b in loader] == [4, 4]
-
-
-def test_drop_last_with_undersized_corpus_yields_nothing(rng):
-    loader = DataLoader(_graphs(rng, 3), 4, drop_last=True)
-    assert len(loader) == 0
-    assert list(loader) == []
-
-
-def test_drop_last_covers_all_graphs_when_shuffled(rng):
-    """Shuffling + drop_last drops *a* remainder, not specific graphs."""
-    graphs = _graphs(rng, 9)
-    loader = DataLoader(graphs, 4, shuffle=True,
-                        rng=np.random.default_rng(3), drop_last=True)
-    for _ in range(3):
-        batches = list(loader)
-        assert len(batches) == len(loader) == 2
-        assert all(b.num_graphs == 4 for b in batches)
+    assert sum(b.num_graphs for b in batches) == num_graphs
 
 
 def test_len_is_stable_across_epochs(rng):

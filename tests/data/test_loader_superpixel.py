@@ -22,12 +22,6 @@ def test_loader_batch_sizes(rng):
     assert len(loader) == 3
 
 
-def test_loader_drop_last(rng):
-    loader = DataLoader(_toy_graphs(rng, 10), 4, drop_last=True)
-    assert [b.num_graphs for b in loader] == [4, 4]
-    assert len(loader) == 2
-
-
 def test_loader_shuffle_requires_rng(rng):
     with pytest.raises(ValueError):
         DataLoader(_toy_graphs(rng), 4, shuffle=True)

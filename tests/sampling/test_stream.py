@@ -1,4 +1,4 @@
-"""SubgraphStream: batching, normalisation weights, prefetch parity."""
+"""SubgraphStream: batching, normalisation weights, determinism."""
 
 from __future__ import annotations
 
@@ -63,16 +63,6 @@ def test_norm_pilot_is_seed_deterministic(dataset):
     c = _stream(dataset, seed=10).node_norms()
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_prefetch_matches_serial(dataset):
-    serial = list(_stream(dataset, prefetch=0).batches(epoch=1))
-    prefetched = list(_stream(dataset, prefetch=2).batches(epoch=1))
-    assert len(serial) == len(prefetched)
-    for (batch_a, norms_a), (batch_b, norms_b) in zip(serial, prefetched):
-        assert np.array_equal(batch_a.x, batch_b.x)
-        assert np.array_equal(batch_a.edge_index, batch_b.edge_index)
-        assert np.array_equal(norms_a, norms_b)
 
 
 def test_subgraphs_agree_with_batches(dataset):

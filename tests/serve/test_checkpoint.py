@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from _helpers import make_path, make_triangle
@@ -10,6 +12,7 @@ from repro.baselines import make_method
 from repro.core import SGCLConfig, SGCLTrainer
 from repro.eval import embed_dataset
 from repro.gnn import GNNEncoder
+from repro.resilience import resume_trainer
 from repro.serve import (
     SCHEMA_VERSION,
     EmbeddingService,
@@ -154,3 +157,57 @@ def test_baseline_periodic_checkpoints(tmp_path, graphs):
     assert {"best.npz", "epoch-0001.npz", "epoch-0002.npz"} <= set(names)
     header = read_checkpoint_header(tmp_path / "ck" / "best.npz")
     assert header["metadata"]["method"] == "GraphCL"
+
+
+# Fields SGCLConfig carried before the L_c / Θ_W ablations became λ = 0
+# and the runtime knobs no workload set were removed, at their defaults.
+RETIRED_CONFIG = {"use_complement_loss": True, "use_weight_reg": True,
+                  "soft_view_weighting": True, "generator_batch_size": 16,
+                  "prefetch_batches": 0}
+
+
+def _save_with_retired_keys(trainer, directory, **retired):
+    """A trainer bundle whose config dict has the older 26-field layout."""
+    config = {**dataclasses.asdict(trainer.config), **RETIRED_CONFIG,
+              **retired}
+    return save_checkpoint(
+        directory / "old.npz", trainer.model, config=config,
+        optimizer=trainer.optimizer,
+        rng_state={"shuffle": trainer._shuffle_rng.bit_generator.state,
+                   "augment": trainer._augment_rng.bit_generator.state},
+        metadata={"history": trainer.history})
+
+
+def test_retired_config_keys_load_unchanged(tmp_path, graphs):
+    trainer = _trained_sgcl(graphs)
+    path = _save_with_retired_keys(trainer, tmp_path,
+                                   generator_batch_size=32,
+                                   prefetch_batches=2)
+    assert load_checkpoint(path).config == trainer.config
+    resumed = resume_trainer(tmp_path)
+    assert resumed.config == trainer.config
+    trainer.pretrain(graphs, epochs=1)
+    resumed.pretrain(graphs, epochs=1)
+    original = trainer.model.state_dict()
+    restored = resumed.model.state_dict()
+    assert all(np.array_equal(original[k], restored[k]) for k in original)
+
+
+def test_retired_ablation_flags_become_zero_lambdas(tmp_path, graphs):
+    trainer = _trained_sgcl(graphs)
+    path = _save_with_retired_keys(trainer, tmp_path,
+                                   use_complement_loss=False,
+                                   use_weight_reg=False)
+    expected = trainer.config.with_overrides(lambda_c=0.0, lambda_w=0.0)
+    assert load_checkpoint(path).config == expected
+    assert resume_trainer(tmp_path).config == expected
+
+
+def test_retired_hard_views_flag_is_rejected(tmp_path, graphs):
+    trainer = _trained_sgcl(graphs)
+    path = _save_with_retired_keys(trainer, tmp_path,
+                                   soft_view_weighting=False)
+    with pytest.raises(ValueError, match="soft_view_weighting"):
+        load_checkpoint(path).config
+    with pytest.raises(ValueError, match="soft_view_weighting"):
+        resume_trainer(tmp_path)
