@@ -48,12 +48,12 @@ def test_healthy_canary_is_promoted(checkpoint, corpus, reference):
             lambda: EmbeddingService(bundle.build_encoder()), "v2", 0.5)
         # 40 requests per side is about 20 per replica, where a p95 no
         # longer reads the single slowest request. Every round is fresh
-        # 256-node graphs, so each request on either side runs a forward
+        # 1024-node graphs, so each request on either side runs a forward
         # pass of a few ms, which a scheduler stall rarely triples.
         controller = CanaryController(router, min_graphs=40)
         assert controller.step() == "continue"  # warmup: no traffic yet
         for seed in range(1, 41):
-            router.embed(_chains(seed, nodes=256))
+            router.embed(_chains(seed, nodes=1024))
             verdict, evidence = controller.evaluate()
             if verdict != "warmup":
                 break
