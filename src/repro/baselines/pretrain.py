@@ -19,7 +19,7 @@ import numpy as np
 
 from ..graph import Batch
 from ..nn import Linear, Parameter, binary_cross_entropy_with_logits, mse_loss
-from ..tensor import Tensor, concatenate, gather, segment_mean
+from ..tensor import Tensor, concatenate, gather, propagate, segment_mean
 from .base import BasePretrainer
 
 __all__ = ["AttrMasking", "ContextPred", "GAE", "DGI", "NoPretrain"]
@@ -63,8 +63,7 @@ class ContextPred(BasePretrainer):
         reps = self.encoder(batch)
         # Context = mean of each node's neighbours (1-hop context pooling).
         workspace = batch.workspace()
-        context = segment_mean(gather(reps, workspace.plan("src")),
-                               workspace.plan("dst"))
+        context = propagate(reps, workspace) * workspace.mean_scale()
         context = self.context_head(context)
         n = batch.num_nodes
         permutation = self.rng.permutation(n)

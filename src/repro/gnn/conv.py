@@ -3,9 +3,10 @@
 All layers share the signature ``forward(x, workspace, node_weight=None)``
 where ``x`` is the ``(N, d)`` node-feature Tensor and ``workspace`` the
 :class:`repro.graph.MessagePassingWorkspace` of a (possibly batched)
-graph: its cached scatter plans, self-looped edge index and GCN
-normalisation weights are the layer's only view of the topology, so a
-layer performs no per-call index arithmetic. Use
+graph: its cached adjacency matrices (GIN, GCN, SAGE, through
+:func:`repro.tensor.propagate`) and scatter plans (GAT) are the layer's
+only view of the topology, so a layer performs no per-call index
+arithmetic. Use
 :meth:`repro.graph.Batch.workspace` for a batch, or
 ``MessagePassingWorkspace(graph.edge_index, graph.num_nodes)`` for one
 graph.
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..graph import MessagePassingWorkspace
 from ..nn import Linear, MLP, Module, Parameter
-from ..tensor import Tensor, gather, segment_mean, segment_softmax, segment_sum
+from ..tensor import Tensor, gather, propagate, segment_softmax, segment_sum
 
 __all__ = ["GINConv", "GCNConv", "SAGEConv", "GATConv", "CONV_TYPES"]
 
@@ -51,9 +52,7 @@ class GINConv(Module):
     def forward(self, x: Tensor, workspace: MessagePassingWorkspace,
                 node_weight: Tensor | None = None) -> Tensor:
         x = _apply_node_weight(x, node_weight)
-        messages = gather(x, workspace.plan("src"))
-        aggregated = segment_sum(messages, workspace.plan("dst"))
-        combined = x * (1.0 + self.eps) + aggregated
+        combined = x * (1.0 + self.eps) + propagate(x, workspace)
         out = self.mlp(combined)
         return _apply_node_weight(out, node_weight)
 
@@ -73,9 +72,7 @@ class GCNConv(Module):
                 node_weight: Tensor | None = None) -> Tensor:
         x = _apply_node_weight(x, node_weight)
         transformed = self.linear(x)
-        messages = (gather(transformed, workspace.plan("looped_src"))
-                    * Tensor(workspace.gcn_norm()[:, None]))
-        out = segment_sum(messages, workspace.plan("looped_dst"))
+        out = propagate(transformed, workspace, normalized=True)
         return _apply_node_weight(out.relu(), node_weight)
 
 
@@ -90,8 +87,7 @@ class SAGEConv(Module):
     def forward(self, x: Tensor, workspace: MessagePassingWorkspace,
                 node_weight: Tensor | None = None) -> Tensor:
         x = _apply_node_weight(x, node_weight)
-        neighbours = segment_mean(gather(x, workspace.plan("src")),
-                                  workspace.plan("dst"))
+        neighbours = propagate(x, workspace) * workspace.mean_scale()
         out = self.self_linear(x) + self.neigh_linear(neighbours)
         return _apply_node_weight(out.relu(), node_weight)
 

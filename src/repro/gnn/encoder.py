@@ -106,8 +106,9 @@ class GNNEncoder(Module):
                              node_weight: Tensor | None = None) -> Tensor:
         """Run the conv stack; ``node_weight`` is the Eq. 14 mask/soft weight.
 
-        ``workspace`` (cached scatter plans for this topology) is shared by
-        all layers; see :meth:`repro.graph.Batch.workspace`.
+        ``workspace`` (cached adjacency matrices and scatter plans for this
+        topology) is shared by all layers; see
+        :meth:`repro.graph.Batch.workspace`.
         """
         layer_outputs = []
         h = x

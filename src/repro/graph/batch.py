@@ -91,8 +91,9 @@ class Batch:
 
         Built lazily on first use and reused by every encoder pass (any
         layer, any epoch, forward or backward) over this batch — the
-        scatter plans, self-looped edge index and GCN normalisation
-        weights depend only on the batch topology, which is immutable.
+        adjacency matrices, scatter plans, self-looped edge index and GCN
+        normalisation weights depend only on the batch topology, which is
+        immutable.
         """
         if self._workspace is None:
             from .workspace import MessagePassingWorkspace

@@ -12,6 +12,7 @@ from .tensor import (
 from .segment import (
     ScatterPlan,
     gather,
+    propagate,
     segment_max,
     segment_mean,
     segment_softmax,
@@ -32,4 +33,5 @@ __all__ = [
     "segment_mean",
     "segment_max",
     "segment_softmax",
+    "propagate",
 ]

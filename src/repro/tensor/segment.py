@@ -3,7 +3,7 @@
 PyTorch Geometric implements GNN message passing with ``torch.index_select``
 and ``scatter_*``; these functions are the numpy/autodiff equivalents. All of
 them are differentiable with respect to the value tensor (never with respect
-to the integer index arrays).
+to the integer index arrays or edge weights).
 
 Routing
 -------
@@ -16,16 +16,30 @@ Every op takes its routing as either a 1-D integer index array or a
 * ``gather(values, index)`` routes rows of ``values``, so its segment count
   is ``len(values)``.
 
+:func:`propagate` is the exception: it routes over a whole topology, taken
+from a :class:`repro.graph.MessagePassingWorkspace`.
+
 Kernel strategy
 ---------------
 Scatter-adds run through ``np.bincount`` on a flattened ``(row, column)``
 index rather than ``np.add.at``. Both accumulate bins in input order, so
 results are bit-identical, but ``bincount`` avoids ``add.at``'s generic
-buffered-ufunc path (~6× faster at message-passing sizes on this box).
-The flattened index depends only on ``(index, feature_width)``, so a
-:class:`ScatterPlan` caches it — one plan per (edge set, direction) serves
-every layer, epoch, and backward pass that routes over those edges. An
-index array gets a throwaway plan that does the same arithmetic.
+buffered-ufunc path (~6× faster at message-passing sizes on a 2-vCPU
+x86 host). The flattened index depends only on ``(index, feature_width)``,
+so a :class:`ScatterPlan` caches it — one plan per (edge set, direction)
+serves every layer, epoch, and backward pass that routes over those edges.
+An index array gets a throwaway plan that does the same arithmetic.
+
+Message passing with constant edge weights (GIN's sum, SAGE's sum before
+its mean, GCN's normalised sum) skips the (E, d) message array altogether:
+:func:`propagate` is one sparse product ``A @ x`` forward and ``Aᵀ @ g``
+backward, with both CSR matrices cached on the workspace. Their rows list
+each destination's (resp. source's) edges in edge order, duplicates kept,
+so every row sums its terms in the order ``np.bincount`` would and the
+result is bit-identical to the ``gather`` → ``segment_sum`` chain.
+Building a CSR matrix costs a stable argsort and scipy's constructor
+(~20 µs on the same host), more than a :class:`ScatterPlan`; plans stay
+on ``bincount`` because many are built for one use only.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ __all__ = [
     "segment_mean",
     "segment_max",
     "segment_softmax",
+    "propagate",
 ]
 
 
@@ -69,6 +84,8 @@ class ScatterPlan:
         index = np.asarray(index)
         if index.ndim != 1:
             raise ValueError(f"index must be 1-D, got shape {index.shape}")
+        if index.size and index.min() < 0:
+            raise IndexError("segment index must be non-negative")
         self.index = index.astype(np.int64, copy=False)
         self.num_segments = int(num_segments)
         self._flat: dict[int, np.ndarray] = {}
@@ -199,6 +216,28 @@ def segment_softmax(values: Tensor, index: np.ndarray | ScatterPlan,
     return exps / gather(segment_sum(exps, plan), plan)
 
 
+def propagate(x: Tensor, workspace, normalized: bool = False) -> Tensor:
+    """Sum each node's incoming messages: ``out = A @ x``.
+
+    ``out[i] = Σ_{e : dst_e = i} w_e · x[src_e]`` over the edges of
+    ``workspace`` (a :class:`repro.graph.MessagePassingWorkspace`), in edge
+    order. With ``normalized=False`` the edges are the raw edge index and
+    ``w_e = 1`` (GIN, SAGE); with ``normalized=True`` they are the
+    self-looped edges weighted by the workspace's ``gcn_norm()`` (GCN's
+    ``D̂^{-1/2} Â D̂^{-1/2}``). The weights are constants; the
+    gradient ``Aᵀ @ g`` flows to ``x`` only. ``x`` is 1-D or 2-D with one
+    row per node.
+    """
+    x = as_tensor(x)
+
+    def backward(out: Tensor) -> None:
+        transposed = workspace.adjacency(normalized, transpose=True)
+        x._accumulate(transposed @ out.grad, own=True)
+
+    return Tensor._make(workspace.adjacency(normalized) @ x.data, (x,),
+                        backward)
+
+
 # ----------------------------------------------------------------------
 # Profiler op table (consumed by repro.obs.profiler)
 # ----------------------------------------------------------------------
@@ -207,6 +246,14 @@ def _flops_scatter(args, kwargs, out) -> float:
     values = args[0]
     size = values.data.size if isinstance(values, Tensor) else np.size(values)
     return float(size)
+
+
+def _flops_propagate(args, kwargs, out) -> float:
+    """One multiply-add per stored edge and feature column."""
+    x, workspace = args[0], args[1]
+    normalized = kwargs.get("normalized", len(args) > 2 and args[2])
+    width = x.data[0].size if len(x.data) else 0
+    return 2.0 * workspace.adjacency(normalized).nnz * width
 
 
 def _flops_gather(args, kwargs, out) -> float:
@@ -224,4 +271,5 @@ PROFILED_OPS = [
     ("segment_mean", "segment_mean", _flops_scatter),
     ("segment_max", "segment_max", _flops_scatter),
     ("segment_softmax", "segment_softmax", _flops_scatter),
+    ("propagate", "propagate", _flops_propagate),
 ]

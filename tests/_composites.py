@@ -1,8 +1,9 @@
-"""Composite op chains the fused ops in ``repro.nn.functional`` replace.
+"""Composite op chains the fused ops in ``repro.nn.functional`` and
+``repro.tensor.propagate`` replace.
 
 Each is built from Tensor primitives only, so autograd derives its
 gradient; the fused ops' hand-written vjps are checked against them in
-``tests/nn/test_fused_ops.py``.
+``tests/nn/test_fused_ops.py`` and ``tests/tensor/test_segment.py``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import l2_normalize
-from repro.tensor import Tensor, gather
+from repro.tensor import Tensor, gather, segment_sum
 
 
 def info_nce(z_anchor: Tensor, z_view: Tensor, tau: float, *,
@@ -51,6 +52,16 @@ def edge_likelihood(h: Tensor, w: Tensor, degrees: np.ndarray,
     scaled = h / Tensor(degrees.reshape(len(h), 1))
     logits = (gather(scaled, src) + gather(scaled, dst)) @ w
     return (logits.softplus() - logits * Tensor(targets)).mean()
+
+
+def propagate(x: Tensor, workspace, normalized: bool = False) -> Tensor:
+    """Per-edge messages by ``gather``, summed per destination."""
+    if not normalized:
+        return segment_sum(gather(x, workspace.plan("src")),
+                           workspace.plan("dst"))
+    messages = (gather(x, workspace.plan("looped_src"))
+                * Tensor(workspace.gcn_norm()[:, None]))
+    return segment_sum(messages, workspace.plan("looped_dst"))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

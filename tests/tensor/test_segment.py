@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import load_dataset
+from repro.graph import Batch, MessagePassingWorkspace
+from repro.sampling import SubgraphStream, load_node_dataset, make_sampler
 from repro.tensor import (
     ScatterPlan,
     Tensor,
     gather,
+    propagate,
     segment_max,
     segment_mean,
     segment_softmax,
     segment_sum,
 )
 
+import _composites as composite
 from _helpers import numerical_gradient
 
 
@@ -252,3 +257,48 @@ def test_routing_argument_is_an_index_array_or_a_plan(rng):
         segment_sum(values, index)
     with pytest.raises(ValueError):
         gather(values, plan)  # routes into 4 rows, values has 3
+
+
+def test_negative_index_is_rejected(rng):
+    values = Tensor(rng.normal(size=(3, 2)))
+    with pytest.raises(IndexError):
+        gather(values, np.array([0, -1]))
+    with pytest.raises(IndexError):
+        segment_sum(values, np.array([0, -1, 1]), 2)
+    for edges in ([[0, -1], [1, 2]], [[0, 1], [1, 3]]):
+        for normalized in (False, True):
+            workspace = MessagePassingWorkspace(np.array(edges), 3)
+            with pytest.raises(IndexError):
+                propagate(values, workspace, normalized)
+
+
+@pytest.fixture(scope="module")
+def training_batches():
+    """A 32-graph MUTAG batch and a 4-subgraph node-stream walk batch."""
+    mutag = load_dataset("MUTAG", seed=0, scale=0.2)
+    community = load_node_dataset("community-1m", seed=0, scale=0.005)
+    stream = SubgraphStream(
+        make_sampler("walk", community, roots=48, walk_length=6),
+        samples_per_epoch=4, batch_size=4, seed=0, norm_samples=4)
+    walk, _ = next(iter(stream.batches(epoch=0)))
+    return {"mutag": Batch(mutag.graphs[:32]), "walk": walk}
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("name", ["mutag", "walk"])
+def test_propagate_bit_equals_gather_segment_sum(training_batches, name,
+                                                 normalized):
+    """The sparse product adds each row's terms in the chain's order."""
+    batch = training_batches[name]
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(batch.num_nodes, 32))
+    upstream = Tensor(rng.normal(size=x.shape))
+    outputs, grads = [], []
+    for op in (propagate, composite.propagate):
+        leaf = Tensor(x, requires_grad=True)
+        out = op(leaf, batch.workspace(), normalized)
+        (out * upstream).sum().backward()
+        outputs.append(out.data)
+        grads.append(leaf.grad)
+    assert np.array_equal(outputs[0], outputs[1])
+    assert np.array_equal(grads[0], grads[1])

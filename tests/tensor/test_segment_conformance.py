@@ -11,6 +11,9 @@ without a case here fails. Each case runs, at float64:
 Every op runs routed by an index array and by a :class:`ScatterPlan`,
 and each index leaves one segment empty. ``gather`` has a 1-D case with
 repeated rows: it carries the soft view weights of SGCL and RGCL.
+``propagate`` routes over a :class:`MessagePassingWorkspace` instead: a
+graph with a duplicate edge, a self-loop and an isolated node, summed
+and GCN-normalised, plus a graph with no edges and a single-node graph.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+from repro.graph import MessagePassingWorkspace
 from repro.tensor import Tensor, segment
 from repro.tensor.segment import ScatterPlan
 
@@ -46,6 +50,12 @@ def _cases() -> dict[str, list[Case]]:
     rows_plan = ScatterPlan(rows, 7)
     matrix = rng.normal(size=(7, 3))
     vector = rng.normal(size=7)
+    # 0→1 twice, a self-loop at 3, node 6 isolated.
+    graph = MessagePassingWorkspace(
+        np.array([[0, 0, 1, 1, 2, 3, 3, 4, 5],
+                  [1, 1, 0, 2, 1, 3, 0, 5, 4]]), 7)
+    edgeless = MessagePassingWorkspace(np.zeros((2, 0), np.int64), 7)
+    single = MessagePassingWorkspace(np.zeros((2, 0), np.int64), 1)
 
     def segment_op(fn, **kwargs):
         return [
@@ -69,6 +79,20 @@ def _cases() -> dict[str, list[Case]]:
         "segment_mean": segment_op(segment.segment_mean),
         "segment_max": segment_op(segment.segment_max, fill=-1.0),
         "segment_softmax": segment_op(segment.segment_softmax),
+        "propagate": [
+            Case("sum", matrix,
+                 lambda v: _project(segment.propagate(v, graph))),
+            Case("sum-vector", vector,
+                 lambda v: _project(segment.propagate(v, graph))),
+            Case("normalized", matrix,
+                 lambda v: _project(segment.propagate(v, graph, True))),
+            Case("no-edges", matrix,
+                 lambda v: _project(segment.propagate(v, edgeless))),
+            Case("no-edges-normalized", matrix,
+                 lambda v: _project(segment.propagate(v, edgeless, True))),
+            Case("single-node", matrix[:1],
+                 lambda v: _project(segment.propagate(v, single, True))),
+        ],
     }
 
 

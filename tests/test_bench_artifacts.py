@@ -10,8 +10,11 @@ reruns this module right after the bench script that writes it, e.g.::
 
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
+
+from repro.obs.profiler import INSTRUMENTED_MODULES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,6 +69,12 @@ def test_bench_hotpath():
                     "self_share", "bytes_out", "flops"):
             assert key in row, f"row missing {key}"
     assert payload["by_op"], "per-op totals missing"
+    # An op renamed or deleted since the baseline was recorded leaves a
+    # stale key here; regenerate with `python benchmarks/bench_hotpath.py`.
+    labels = {label for name in INSTRUMENTED_MODULES
+              for _, label, _ in importlib.import_module(name).PROFILED_OPS}
+    stale = set(payload["by_op"]) - labels - {"(other)"}
+    assert not stale, f"baseline ops no module profiles: {sorted(stale)}"
     for key in ("dataset", "scale", "epochs", "batch_size", "seed",
                 "max_graphs"):
         assert key in payload["config"], f"config missing {key}"
